@@ -5,7 +5,9 @@ Four interchangeable backends sit behind one ``generate`` call:
 * HttpBackend      -- OpenAI-compatible chat-completions endpoint over HTTP.
 * ScriptedBackend  -- pure table lookup; the deterministic test double.
 * SyntheticOracleBackend -- seeded noisy oracle for desk-scale experiments.
-* ResponseCache / cached_generate -- content-addressed response cache.
+* ResponseCache / cached_generate -- content-addressed response cache;
+  cached_generate_many issues independent requests concurrently where the
+  backend allows it.
 
 Temperature is the only model knob the engine manipulates, so backends must
 keep responses at distinct temperatures genuinely distinct (cache keys
@@ -19,11 +21,13 @@ import json
 import logging
 import math
 import os
+import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -99,9 +103,14 @@ def body_to_request(body: dict[str, Any]) -> BackendRequest:
 
 
 class Backend:
-    """Minimal backend interface: an id for cache keys plus raw generation."""
+    """Minimal backend interface: an id for cache keys plus raw generation.
+
+    ``max_in_flight`` is how many independent requests callers may have
+    outstanding at once; backends wider than 1 also provide ``executor()``.
+    """
 
     backend_id: str = "backend"
+    max_in_flight: int = 1
 
     def generate(self, request: BackendRequest) -> BackendResponse:
         raise NotImplementedError
@@ -147,9 +156,13 @@ class HttpBackend(Backend):
 
     Batches n completions into a single request when the provider honors n;
     shortfalls are re-requested sequentially and, failing that, padded with
-    empty text (the shortfall is logged). Transient failures retry with
-    exponential backoff before raising BackendUnavailableError with the
-    last HTTP status.
+    empty text (the shortfall is logged). Transient failures, including a
+    200 whose body is not a JSON object, retry with exponential backoff
+    before raising BackendUnavailableError with the last HTTP status.
+
+    At most ``max_in_flight`` requests are on the wire at once across all
+    threads. ``executor()`` is a pool of that width, shared by every caller,
+    for issuing independent requests concurrently; ``close()`` shuts it down.
     """
 
     def __init__(
@@ -171,11 +184,31 @@ class HttpBackend(Backend):
             )
         if not self.model:
             raise InvalidArgumentError(f"no model name: pass model or set {ENV_MODEL}")
+        if max_in_flight < 1:
+            raise InvalidArgumentError("max_in_flight must be >= 1")
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         self.timeout_s = timeout_s
+        self.max_in_flight = max_in_flight
         self._gate = threading.Semaphore(max_in_flight)
+        self._pool: Optional[ThreadPoolExecutor] = None
+        self._pool_lock = threading.Lock()
         self.backend_id = f"http:{self.base_url}:{self.model}"
+
+    def executor(self) -> ThreadPoolExecutor:
+        """The shared request pool, created on first use."""
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.max_in_flight, thread_name_prefix="tout-http"
+                )
+            return self._pool
+
+    def close(self) -> None:
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def _post(self, body: dict[str, Any]) -> dict[str, Any]:
         import requests
@@ -206,9 +239,16 @@ class HttpBackend(Backend):
             except requests.RequestException as exc:
                 last_error = repr(exc)
                 continue
-            if resp.status_code == 200:
-                return resp.json()
             last_status = resp.status_code
+            if resp.status_code == 200:
+                try:
+                    payload = resp.json()
+                except ValueError:  # requests' JSONDecodeError included
+                    payload = None
+                if isinstance(payload, dict):
+                    return payload
+                last_error = f"HTTP 200 without a JSON object: {resp.text[:200]}"
+                continue
             last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
             if 400 <= resp.status_code < 500 and resp.status_code != 429:
                 break  # client errors won't heal on retry
@@ -340,13 +380,13 @@ class ResponseCache:
     Keys include the backend id, prompt digest, quantized temperature, n,
     max_tokens, stop and a sample-batch index, so repeated draws at one
     temperature stay distinct while identical requests are served from
-    disk. I/O failures degrade to uncached operation with a warning.
+    disk. Entries are written atomically; I/O failures degrade to uncached
+    operation and a damaged entry reads as a miss, both with a warning.
     """
 
     def __init__(self, cache_dir: str | Path, enabled: bool = True):
         self.cache_dir = Path(cache_dir)
         self.enabled = enabled
-        self._lock = threading.Lock()
         if enabled:
             try:
                 self.cache_dir.mkdir(parents=True, exist_ok=True)
@@ -385,20 +425,33 @@ class ResponseCache:
         except OSError as exc:
             log.warning("cache read failed for %s: %s", key, exc)
             return None
-        data = json.loads(raw)
-        return BackendResponse(
-            completions=tuple(data["completions"]), usage=data.get("usage")
-        )
+        try:
+            data = json.loads(raw)
+            return BackendResponse(
+                completions=tuple(data["completions"]), usage=data.get("usage")
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            log.warning("damaged cache entry %s treated as a miss: %s", key, exc)
+            return None
 
     def put(self, key: str, response: BackendResponse) -> None:
+        """Write an entry through a temporary file, so readers never see half."""
         if not self.enabled:
             return
         data = {"completions": list(response.completions), "usage": response.usage}
+        tmp: Optional[str] = None
         try:
-            with self._lock:
-                self._path(key).write_text(json.dumps(data), encoding="utf-8")
+            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, prefix=key, suffix=".tmp")
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(data))
+            os.replace(tmp, self._path(key))
         except OSError as exc:
             log.warning("cache write failed for %s: %s", key, exc)
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
 
 
 def cached_generate(
@@ -418,3 +471,54 @@ def cached_generate(
     response = generate(backend, request, transcript)
     cache.put(key, response)
     return response
+
+
+def cached_generate_many(
+    cache: Optional[ResponseCache],
+    backend: Backend,
+    requests: Sequence[BackendRequest],
+    batch_offset: int = 0,
+    transcript: Optional[Transcript] = None,
+) -> Iterator[BackendResponse]:
+    """cached_generate() over independent requests, yielding responses in order.
+
+    Request i carries cache batch index ``batch_offset + i``. On a backend
+    with ``max_in_flight`` above 1, cache hits are still served inline and
+    only the misses go to ``backend.executor()``, all at once. Each miss's
+    transcript events are buffered and replayed just before its response is
+    yielded, and responses are cached in index order, so the transcript, the
+    cache and the backend calls end as the sequential loop leaves them. A
+    failed request raises its error in its turn, after every request before
+    it has been yielded.
+    """
+    if backend.max_in_flight <= 1 or len(requests) <= 1:
+        for i, request in enumerate(requests):
+            yield cached_generate(cache, backend, request, batch_offset + i, transcript)
+        return
+    keys: list[str] = []
+    responses: list[Optional[BackendResponse]] = [None] * len(requests)
+    if cache is not None and cache.enabled:
+        keys = [
+            ResponseCache.cache_key(backend.backend_id, request, batch_offset + i)
+            for i, request in enumerate(requests)
+        ]
+        responses = [cache.get(key) for key in keys]
+    buffers = {i: Transcript() for i, hit in enumerate(responses) if hit is None}
+    futures = {}
+    if buffers:
+        pool = backend.executor()
+        futures = {
+            i: pool.submit(generate, backend, requests[i], buffer)
+            for i, buffer in buffers.items()
+        }
+        wait(futures.values())
+    for i, hit in enumerate(responses):
+        if hit is not None:
+            yield hit
+            continue
+        response = futures[i].result()
+        if keys:
+            cache.put(keys[i], response)
+        if transcript is not None:
+            transcript.events.extend(buffers[i].events)
+        yield response

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import logging
 import math
 import threading
 import time
@@ -37,6 +38,8 @@ from .search import METHODS, run_method
 from .tasks import TASK_NAMES, Problem
 from .tasks.crosswords import SIZE, SLOTS, board_from_thoughts, score_board
 from .tasks.synthetic import TrapBenchmark
+
+log = logging.getLogger(__name__)
 
 RESULT_COLUMNS = ("method", "m", "b", "metric", "value", "episodes", "seconds")
 
@@ -149,8 +152,13 @@ def episode_seed(run_seed: int, index: int) -> int:
 
 
 def config_digest(task_name: str, method: str, config: SearchConfig) -> str:
+    # eval_workers changes how a run executes, not what it records: it stays
+    # in the persisted snapshot but not in the digest, so a rerun that
+    # differs only in it resumes.
+    snapshot = config.snapshot()
+    del snapshot["eval_workers"]
     payload = json.dumps(
-        {"task": task_name, "method": method, "config": config.snapshot()},
+        {"task": task_name, "method": method, "config": snapshot},
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -163,19 +171,35 @@ def default_run_id(task_name: str, method: str, config: SearchConfig) -> str:
 
 
 def load_existing_records(path: str | Path) -> dict[tuple[str, str], RunRecord]:
-    """Index of completed episodes: (problem_id, config digest) -> record."""
+    """Index of completed episodes: (problem_id, config digest) -> record.
+
+    Unreadable lines are skipped with a warning. A final line without its
+    newline was torn by an interrupted append: it is cut from the file, so
+    the next append starts on a line of its own and that episode reruns.
+    """
     existing: dict[tuple[str, str], RunRecord] = {}
     path = Path(path)
     if not path.exists():
         return existing
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = RunRecord.from_json(line)
-            digest = record.config.get("digest", "")
-            existing[(record.problem_id, digest)] = record
+    with open(path, "rb") as handle:
+        data = handle.read()
+    complete = data.rfind(b"\n") + 1
+    if complete < len(data):
+        log.warning(
+            "%s: cutting a torn final line of %d bytes", path, len(data) - complete
+        )
+        with open(path, "r+b") as handle:
+            handle.truncate(complete)
+    for number, line in enumerate(data[:complete].splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            record = RunRecord.from_json(line.decode("utf-8"))
+        except (ValueError, KeyError, TypeError) as exc:  # ValueError: JSON, UTF-8
+            log.warning("%s:%d: skipping an unreadable record: %s", path, number, exc)
+            continue
+        digest = record.config.get("digest", "")
+        existing[(record.problem_id, digest)] = record
     return existing
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .backends import Backend, BackendRequest, ResponseCache, cached_generate
+from .backends import Backend, BackendRequest, ResponseCache, cached_generate_many
 from .model import (
     InvalidArgumentError,
     ScoredState,
@@ -106,15 +106,15 @@ def sample_values(
 
     Each draw is its own request (temperatures differ across the schedule)
     and carries its index as the cache batch index, so repeated draws at
-    one temperature are still distinct requests.
+    one temperature are still distinct requests. The draws are independent,
+    so a backend wider than one request has its cache misses in flight
+    together; the transcript is the same either way.
     """
     prompt = task.value_prompt(state)
+    requests = [BackendRequest(prompt=prompt, temperature=t, n=1) for t in schedule]
+    responses = cached_generate_many(cache, backend, requests, batch_offset, transcript)
     values: list[float] = []
-    for i, temp in enumerate(schedule):
-        request = BackendRequest(prompt=prompt, temperature=temp, n=1)
-        response = cached_generate(
-            cache, backend, request, batch_index=batch_offset + i, transcript=transcript
-        )
+    for i, (temp, response) in enumerate(zip(schedule, responses)):
         completion = response.completions[0]
         value = task.parse_value(completion)
         values.append(value)

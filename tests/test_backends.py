@@ -7,6 +7,7 @@ responses, so retry and shortfall behavior is exercised without a network.
 
 from __future__ import annotations
 
+import logging
 import shutil
 from dataclasses import dataclass
 
@@ -157,6 +158,15 @@ class _FakeResponse:
         return self.payload
 
 
+class _NotJsonResponse(_FakeResponse):
+    """A 200 whose body is not JSON, as from a proxy's error page."""
+
+    def json(self):
+        import requests
+
+        raise requests.JSONDecodeError("Expecting value", str(self.payload), 0)
+
+
 def _choices(*texts):
     return {"choices": [{"message": {"content": t}} for t in texts]}
 
@@ -240,6 +250,42 @@ class TestHttpBackend:
         )
         assert response.completions == ("a", "b", "c")
         assert [c["body"]["n"] for c in post.calls] == [3, 1, 1]
+
+    def test_non_json_200_is_retried(self, monkeypatch):
+        post = _PostLog(
+            [
+                _NotJsonResponse(200, "<html>gateway busy</html>"),
+                _FakeResponse(200, _choices("recovered")),
+            ]
+        )
+        monkeypatch.setattr("requests.post", post)
+        response = _http_backend().generate(
+            BackendRequest(prompt="p", temperature=0.5)
+        )
+        assert response.completions == ("recovered",)
+        assert len(post.calls) == 2
+
+    def test_non_json_200_ends_in_backend_unavailable(self, monkeypatch):
+        post = _PostLog([_NotJsonResponse(200, "<html>gateway busy</html>")] * 3)
+        monkeypatch.setattr("requests.post", post)
+        with pytest.raises(BackendUnavailableError) as err:
+            _http_backend(max_retries=2).generate(
+                BackendRequest(prompt="p", temperature=0.5)
+            )
+        assert len(post.calls) == 3
+        assert err.value.last_status == 200
+
+    def test_executor_is_shared_and_as_wide_as_max_in_flight(self):
+        backend = _http_backend(max_in_flight=3)
+        try:
+            assert backend.max_in_flight == 3
+            pool = backend.executor()
+            assert pool is backend.executor()
+            assert pool._max_workers == 3
+        finally:
+            backend.close()
+        with pytest.raises(InvalidArgumentError):
+            _http_backend(max_in_flight=0)
 
     def test_requires_base_url_and_model(self, monkeypatch):
         monkeypatch.delenv("TOUT_API_BASE", raising=False)
@@ -387,6 +433,35 @@ class TestResponseCache:
         # neither put nor get may raise once the directory is gone
         cache.put(key, BackendResponse(completions=("a",)))
         assert cache.get(key) is None
+
+    def test_damaged_entry_is_a_logged_miss(self, tmp_path, caplog):
+        cache = ResponseCache(tmp_path)
+        backend = _CountingBackend()
+        request = BackendRequest(prompt="p", temperature=0.5)
+        cached_generate(cache, backend, request)
+        (entry,) = tmp_path.iterdir()
+        entry.write_text(entry.read_text()[:7], encoding="utf-8")  # torn write
+        with caplog.at_level(logging.WARNING, logger="tout.backends"):
+            response = cached_generate(cache, backend, request)
+        assert response.completions == ("x",)
+        assert backend.calls == 2
+        assert "damaged cache entry" in caplog.text
+        key = ResponseCache.cache_key(backend.backend_id, request)
+        assert cache.get(key) == response  # the miss rewrote the entry
+
+    def test_failed_put_leaves_the_old_entry_whole(self, tmp_path, monkeypatch):
+        cache = ResponseCache(tmp_path)
+        key = ResponseCache.cache_key("b1", BackendRequest(prompt="p", temperature=0.5))
+        old = BackendResponse(completions=("old",))
+        cache.put(key, old)
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("tout.backends.os.replace", failing_replace)
+        cache.put(key, BackendResponse(completions=("new",)))
+        assert cache.get(key) == old
+        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
 
     def test_disabled_cache_never_touches_disk(self, tmp_path):
         cache = ResponseCache(tmp_path, enabled=False)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 
 from dataclasses import replace
 
@@ -144,10 +145,51 @@ class TestRunBenchmark:
                             replace(QUICK, k=3, eval_workers=1), run_seed=4)
         four = run_benchmark(task, problems, "tout_bfs", factory,
                              replace(QUICK, k=3, eval_workers=4), run_seed=4)
-        # eval_workers is in the digest, so compare transcripts not digests
+        # eval_workers is left out of the digest but kept in the persisted
+        # search snapshot, so the digests agree and the records' configs do not
+        assert one.digest == four.digest
         assert [r.record.events for r in one.results] == [
             r.record.events for r in four.results
         ]
+
+    def test_rerun_differing_only_in_eval_workers_resumes(self, tmp_path):
+        task, problems, factory = quick_setup(episodes=3)
+        path = tmp_path / "records.jsonl"
+        run_benchmark(task, problems, "tout_bfs", factory,
+                      replace(QUICK, eval_workers=1), record_path=path, run_seed=4)
+        before = path.read_bytes()
+        again = run_benchmark(task, problems, "tout_bfs", factory,
+                              replace(QUICK, eval_workers=4), record_path=path,
+                              run_seed=4)
+        assert all(r.resumed for r in again.results)
+        assert path.read_bytes() == before
+
+    def test_resume_cuts_a_torn_final_line(self, tmp_path, caplog):
+        task, problems, factory = quick_setup(episodes=4)
+        path = tmp_path / "records.jsonl"
+        run_benchmark(task, problems, "tout_bfs", factory, QUICK,
+                      record_path=path, run_seed=1)
+        whole = path.read_bytes()
+        path.write_bytes(whole[:-25])  # an append cut short
+        with caplog.at_level(logging.WARNING, logger="tout.harness"):
+            again = run_benchmark(task, problems, "tout_bfs", factory, QUICK,
+                                  record_path=path, run_seed=1)
+        assert "torn final line" in caplog.text
+        assert [r.resumed for r in again.results] == [True, True, True, False]
+        # the rerun episode is appended on a line of its own
+        assert path.read_bytes() == whole
+
+    def test_resume_skips_an_unreadable_line(self, tmp_path, caplog):
+        task, problems, factory = quick_setup(episodes=2)
+        path = tmp_path / "records.jsonl"
+        run_benchmark(task, problems, "tout_bfs", factory, QUICK,
+                      record_path=path, run_seed=1)
+        first, second = path.read_text().splitlines(keepends=True)
+        path.write_text(first + "{not json\n" + second)
+        with caplog.at_level(logging.WARNING, logger="tout.harness"):
+            records = load_existing_records(path)
+        assert len(records) == 2
+        assert "records.jsonl:2: skipping an unreadable record" in caplog.text
 
     def test_empty_problem_list_errors_before_running(self):
         task, _, factory = quick_setup()

@@ -9,7 +9,14 @@ relies on.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,7 +32,12 @@ from tout import (
     temperature_schedule,
     variance,
 )
+from tout.backends import Backend, BackendResponse, ResponseCache
+from tout.harness import run_benchmark, synthetic_setup
+from tout.model import BackendUnavailableError, StateStore
 from tout.tasks import make_task
+from tout.tasks.synthetic import build_trap_benchmark
+from tout.uncertainty import sample_values
 
 from helpers import EpisodeScript, make_state, population_variance
 
@@ -244,3 +256,115 @@ class TestEvaluateState:
         assert abs(scored.uncertainty - population_variance(first)) <= EXACT
         assert len(scored.samples) == 4
         assert scored.temperatures == (0.2, 1.0, 0.2, 1.0)
+
+
+class _KeyedSlowBackend(Backend):
+    """Answers the synthetic line protocol from the request alone.
+
+    Each call sleeps a random few milliseconds, so concurrent draws complete
+    out of order, and the highest number of calls in flight is recorded.
+    A value request at ``fail_temperature`` raises BackendUnavailableError.
+    """
+
+    backend_id = "keyed-slow"
+
+    def __init__(self, width, children, fail_temperature=None):
+        self.max_in_flight = width
+        self.children = children
+        self.fail_temperature = fail_temperature
+        self.calls = 0
+        self.peak = 0
+        self._in_flight = 0
+        self._lock = threading.Lock()
+        self._pool = ThreadPoolExecutor(max_workers=width)
+
+    def executor(self):
+        return self._pool
+
+    def close(self):
+        self._pool.shutdown(wait=True)
+
+    def generate(self, request):
+        with self._lock:
+            self.calls += 1
+            self._in_flight += 1
+            self.peak = max(self.peak, self._in_flight)
+        try:
+            time.sleep(random.uniform(0.0, 0.004))
+            kind, key = request.prompt.split(" ", 1)
+            if kind == "PROPOSE":
+                return BackendResponse(("\n".join(self.children.get(key, [])),))
+            if request.temperature == self.fail_temperature:
+                raise BackendUnavailableError("injected outage", last_status=503)
+            digest = hashlib.sha256(f"{key}@{request.temperature}".encode()).digest()
+            return BackendResponse((repr(digest[0] / 25.5),))
+        finally:
+            with self._lock:
+                self._in_flight -= 1
+
+
+def _cache_contents(cache):
+    return sorted((p.name, p.read_bytes()) for p in cache.cache_dir.iterdir())
+
+
+def _without_latency(events):
+    return [{k: v for k, v in e.items() if k != "latency_ms"} for e in events]
+
+
+class TestConcurrentDraws:
+    """A backend wider than one request gets a state's cache misses at once;
+    records, cache contents and call counts match the sequential run."""
+
+    def test_records_cache_and_calls_match_sequential(self, tmp_path):
+        bench = build_trap_benchmark(depth=2)
+        task, problems, _ = synthetic_setup(bench, episodes=3)
+        config = SearchConfig(k=3, b=2, T=2, m=8)
+        outcomes = []
+        switch = sys.getswitchinterval()
+        for width in (1, 4):
+            backend = _KeyedSlowBackend(width, bench.children)
+            cache = ResponseCache(tmp_path / f"width{width}")
+            sys.setswitchinterval(1e-5)  # more thread interleavings
+            try:
+                # m=4 fills draws 0..3 of each state, so the m=8 run mixes
+                # cache hits and misses within one state's draws
+                for m in (4, 8):
+                    report = run_benchmark(task, problems, "tout_bfs",
+                                           lambda seed: backend,
+                                           replace(config, m=m), cache=cache,
+                                           run_seed=5)
+            finally:
+                sys.setswitchinterval(switch)
+                backend.close()
+            outcomes.append((
+                [r.record.to_json() for r in report.results],
+                backend.calls,
+                _cache_contents(cache),
+            ))
+            assert backend.peak <= width
+            if width > 1:
+                assert backend.peak > 1  # the draws did overlap
+        assert outcomes[0] == outcomes[1]
+
+    def test_failed_draw_leaves_the_sequential_events(self, tmp_path):
+        bench = build_trap_benchmark(depth=2)
+        task = bench.task()
+        state = StateStore().root("root")
+        schedule = temperature_schedule(8, 0.2, 1.0)
+        outcomes = []
+        for width in (1, 4):
+            backend = _KeyedSlowBackend(width, bench.children,
+                                        fail_temperature=schedule[5])
+            cache = ResponseCache(tmp_path / f"width{width}")
+            transcript = Transcript()
+            try:
+                with pytest.raises(BackendUnavailableError):
+                    sample_values(task, state, backend, schedule, transcript, cache)
+            finally:
+                backend.close()
+            outcomes.append((_without_latency(transcript.events),
+                             _cache_contents(cache)))
+        assert outcomes[0] == outcomes[1]
+        events, entries = outcomes[0]
+        assert [e["index"] for e in events if e["event"] == "sample"] == [0, 1, 2, 3, 4]
+        assert len(entries) == 5
