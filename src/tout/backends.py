@@ -24,7 +24,7 @@ import os
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Optional, Sequence
@@ -151,6 +151,16 @@ def generate(
     return response
 
 
+def _retry_after_s(value: Optional[str]) -> float:
+    """Seconds a Retry-After header asks for; 0 unless it is a number of
+    seconds (the HTTP-date form falls back to the backoff)."""
+    try:
+        seconds = float(value)  # None when the header is absent
+    except (TypeError, ValueError):
+        return 0.0
+    return seconds if math.isfinite(seconds) and seconds > 0 else 0.0
+
+
 class HttpBackend(Backend):
     """Client for any OpenAI-compatible /v1/chat/completions endpoint.
 
@@ -158,7 +168,8 @@ class HttpBackend(Backend):
     shortfalls are re-requested sequentially and, failing that, padded with
     empty text (the shortfall is logged). Transient failures, including a
     200 whose body is not a JSON object, retry with exponential backoff
-    before raising BackendUnavailableError with the last HTTP status.
+    before raising BackendUnavailableError with the last HTTP status; a 429
+    whose Retry-After gives seconds waits at least that long.
 
     At most ``max_in_flight`` requests are on the wire at once across all
     threads. ``executor()`` is a pool of that width, shared by every caller,
@@ -219,9 +230,10 @@ class HttpBackend(Backend):
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_status: Optional[int] = None
         last_error = "no attempt made"
+        retry_after = 0.0
         for attempt in range(self.max_retries + 1):
             if attempt:
-                delay = self.backoff_s * (2 ** (attempt - 1))
+                delay = max(self.backoff_s * (2 ** (attempt - 1)), retry_after)
                 log.warning(
                     "retrying %s in %.1fs (attempt %d/%d): %s",
                     url,
@@ -231,6 +243,7 @@ class HttpBackend(Backend):
                     last_error,
                 )
                 time.sleep(delay)
+            retry_after = 0.0
             try:
                 with self._gate:
                     resp = requests.post(
@@ -250,7 +263,9 @@ class HttpBackend(Backend):
                 last_error = f"HTTP 200 without a JSON object: {resp.text[:200]}"
                 continue
             last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
-            if 400 <= resp.status_code < 500 and resp.status_code != 429:
+            if resp.status_code == 429:
+                retry_after = _retry_after_s(resp.headers.get("Retry-After"))
+            elif 400 <= resp.status_code < 500:
                 break  # client errors won't heal on retry
         raise BackendUnavailableError(
             f"endpoint unavailable after {self.max_retries} retries: {last_error}",
@@ -476,49 +491,67 @@ def cached_generate(
 def cached_generate_many(
     cache: Optional[ResponseCache],
     backend: Backend,
-    requests: Sequence[BackendRequest],
-    batch_offset: int = 0,
+    draws: Sequence[tuple[BackendRequest, int]],
     transcript: Optional[Transcript] = None,
 ) -> Iterator[BackendResponse]:
-    """cached_generate() over independent requests, yielding responses in order.
+    """cached_generate() over independent (request, batch index) draws,
+    yielding the responses in order.
 
-    Request i carries cache batch index ``batch_offset + i``. On a backend
-    with ``max_in_flight`` above 1, cache hits are still served inline and
-    only the misses go to ``backend.executor()``, all at once. Each miss's
-    transcript events are buffered and replayed just before its response is
-    yielded, and responses are cached in index order, so the transcript, the
-    cache and the backend calls end as the sequential loop leaves them. A
-    failed request raises its error in its turn, after every request before
-    it has been yielded.
+    On a backend with ``max_in_flight`` above 1, the first ``next()`` makes
+    one ``ResponseCache.get`` per draw, in order, and submits the misses to
+    ``backend.executor()`` all at once; hits are served inline. A miss whose
+    cache key an earlier miss of the batch already carries is not issued
+    again: it gets the earlier response, as the sequential loop would have
+    got it from the cache (no ``generate`` event, no ``put``). Without an
+    enabled cache every miss is issued. Response i is yielded as soon as it
+    is done, after it is cached and its buffered transcript events are
+    replayed, so the transcript, the cache and the backend calls end as the
+    sequential loop leaves them while later draws are still in flight. A
+    failed draw raises its error in its turn, after every draw before it
+    has been yielded. When a draw fails or the consumer closes the stream,
+    the draws that have not started are cancelled.
     """
-    if backend.max_in_flight <= 1 or len(requests) <= 1:
-        for i, request in enumerate(requests):
-            yield cached_generate(cache, backend, request, batch_offset + i, transcript)
+    if backend.max_in_flight <= 1 or len(draws) <= 1:
+        for request, batch_index in draws:
+            yield cached_generate(cache, backend, request, batch_index, transcript)
         return
     keys: list[str] = []
-    responses: list[Optional[BackendResponse]] = [None] * len(requests)
+    responses: list[Optional[BackendResponse]] = [None] * len(draws)
     if cache is not None and cache.enabled:
         keys = [
-            ResponseCache.cache_key(backend.backend_id, request, batch_offset + i)
-            for i, request in enumerate(requests)
+            ResponseCache.cache_key(backend.backend_id, request, batch_index)
+            for request, batch_index in draws
         ]
         responses = [cache.get(key) for key in keys]
-    buffers = {i: Transcript() for i, hit in enumerate(responses) if hit is None}
-    futures = {}
-    if buffers:
-        pool = backend.executor()
-        futures = {
-            i: pool.submit(generate, backend, requests[i], buffer)
-            for i, buffer in buffers.items()
-        }
-        wait(futures.values())
+    issued: dict[str, int] = {}  # cache key -> the miss that issues it
+    twins: dict[int, int] = {}  # later miss -> earlier miss with its key
+    misses: list[int] = []
     for i, hit in enumerate(responses):
         if hit is not None:
-            yield hit
             continue
-        response = futures[i].result()
-        if keys:
-            cache.put(keys[i], response)
-        if transcript is not None:
-            transcript.events.extend(buffers[i].events)
-        yield response
+        first = issued.setdefault(keys[i], i) if keys else i
+        if first == i:
+            misses.append(i)
+        else:
+            twins[i] = first
+    buffers = {i: Transcript() for i in misses}
+    futures: dict[int, Future] = {}
+    if misses:
+        pool = backend.executor()
+        futures = {
+            i: pool.submit(generate, backend, draws[i][0], buffers[i]) for i in misses
+        }
+    try:
+        for i in range(len(draws)):
+            if i in twins:
+                responses[i] = responses[twins[i]]
+            elif i in futures:
+                responses[i] = futures[i].result()
+                if keys:
+                    cache.put(keys[i], responses[i])
+                if transcript is not None:
+                    transcript.events.extend(buffers[i].events)
+            yield responses[i]
+    finally:
+        for future in futures.values():
+            future.cancel()

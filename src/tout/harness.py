@@ -18,7 +18,7 @@ import logging
 import math
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import NormalDist
@@ -308,7 +308,8 @@ def run_benchmark(
     shared HTTP backend can simply ignore it. Episodes whose records are
     already present in record_path are not rerun. Backend failures mark
     their episode failed and the run continues, unless more than half of
-    all episodes fail, which aborts the whole run.
+    all episodes fail, which aborts the whole run as soon as that is known:
+    under ``jobs`` the episodes not yet started are cancelled.
     """
     config.validate()
     if not problems:
@@ -362,15 +363,18 @@ def run_benchmark(
             failed += int(result.verdicts.get("backend_error", 0.0) == 1.0)
             check_abort(failed)
     else:
+        results = [None] * total
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(run_one, i, p) for i, p in enumerate(problems)
-            ]
-            results = [f.result() for f in futures]
-        failed = sum(
-            int(r.verdicts.get("backend_error", 0.0) == 1.0) for r in results
-        )
-        check_abort(failed)
+            futures = {pool.submit(run_one, i, p): i for i, p in enumerate(problems)}
+            try:
+                for future in as_completed(futures):
+                    result = results[futures[future]] = future.result()
+                    failed += int(result.verdicts.get("backend_error", 0.0) == 1.0)
+                    check_abort(failed)
+            except BaseException:
+                # episodes not yet started would only spend backend calls
+                pool.shutdown(cancel_futures=True)
+                raise
 
     keys: set[str] = set()
     for result in results:

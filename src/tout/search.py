@@ -20,7 +20,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .backends import Backend, BackendRequest, ResponseCache, cached_generate
+from .backends import (
+    Backend,
+    BackendRequest,
+    ResponseCache,
+    cached_generate,
+    cached_generate_many,
+)
 from .model import (
     InvalidArgumentError,
     ScoredState,
@@ -32,7 +38,7 @@ from .model import (
     Transcript,
     extend_state,
 )
-from .uncertainty import evaluate_state
+from .uncertainty import evaluate_state, value_draws
 
 METHODS = ("io", "cot", "cot_sc", "tot_bfs", "tot_dfs", "tout_bfs", "tout_dfs")
 
@@ -86,11 +92,27 @@ def _evaluate_states(
     transcript: Optional[Transcript],
     cache: Optional[ResponseCache],
 ) -> list[ScoredState]:
-    """Evaluate several states, optionally in parallel.
+    """Evaluate several states; the transcript is the same however it runs.
 
-    Concurrent evaluations write into per-state buffers that are replayed
-    in state order, so the transcript is identical at any worker count.
+    On a backend wider than one request, the value draws of all the states
+    go out as one cached_generate_many batch, which the first state's
+    sample_values submits; each state then takes its own responses from the
+    shared stream in order, as they complete. Closing the stream cancels
+    the draws not yet started when a state fails. Narrower backends
+    evaluate one state after another, or with config.eval_workers above 1
+    on a pool whose per-state transcript buffers are replayed in state
+    order.
     """
+    if backend.max_in_flight > 1:
+        draws = [d for s in states for d in value_draws(task, s, config)]
+        responses = cached_generate_many(cache, backend, draws, transcript)
+        try:
+            return [
+                evaluate_state(task, s, backend, config, transcript, cache, responses)
+                for s in states
+            ]
+        finally:
+            responses.close()
     if config.eval_workers <= 1 or len(states) <= 1:
         return [
             evaluate_state(task, s, backend, config, transcript, cache)

@@ -12,9 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterator, Optional, Sequence
 
-from .backends import Backend, BackendRequest, ResponseCache, cached_generate_many
+from .backends import (
+    Backend,
+    BackendRequest,
+    BackendResponse,
+    ResponseCache,
+    cached_generate_many,
+)
 from .model import (
     InvalidArgumentError,
     ScoredState,
@@ -93,6 +100,42 @@ def estimate_uncertainty(
     )
 
 
+def _passes(config: SearchConfig) -> list[tuple[list[float], int]]:
+    """(temperatures, first cache batch index) of each sampling pass.
+
+    LUQ on: one pass over the m-step schedule, plus a second at batch
+    offset m with config.two_pass. LUQ off: one draw at t_max.
+    """
+    if not config.luq_enabled:
+        return [([config.t_max], 0)]
+    schedule = temperature_schedule(config.m, config.t_min, config.t_max)
+    if config.two_pass:
+        return [(schedule, 0), (schedule, len(schedule))]
+    return [(schedule, 0)]
+
+
+def _draws(
+    prompt: str, schedule: Sequence[float], batch_offset: int
+) -> list[tuple[BackendRequest, int]]:
+    return [
+        (BackendRequest(prompt=prompt, temperature=t, n=1), batch_offset + i)
+        for i, t in enumerate(schedule)
+    ]
+
+
+def value_draws(
+    task: TaskSpec, state: State, config: SearchConfig
+) -> list[tuple[BackendRequest, int]]:
+    """Every (request, cache batch index) that evaluate_state draws for the
+    state, in the order it consumes their responses."""
+    prompt = task.value_prompt(state)
+    return [
+        draw
+        for schedule, offset in _passes(config)
+        for draw in _draws(prompt, schedule, offset)
+    ]
+
+
 def sample_values(
     task: TaskSpec,
     state: State,
@@ -101,6 +144,7 @@ def sample_values(
     transcript: Optional[Transcript] = None,
     cache: Optional[ResponseCache] = None,
     batch_offset: int = 0,
+    responses: Optional[Iterator[BackendResponse]] = None,
 ) -> list[float]:
     """Evaluate the state once per scheduled temperature.
 
@@ -108,14 +152,16 @@ def sample_values(
     and carries its index as the cache batch index, so repeated draws at
     one temperature are still distinct requests. The draws are independent,
     so a backend wider than one request has its cache misses in flight
-    together; the transcript is the same either way.
+    together; the transcript is the same either way. ``responses``, when
+    given, is a stream already issued for these draws (see value_draws):
+    the next len(schedule) responses are taken from it.
     """
-    prompt = task.value_prompt(state)
-    requests = [BackendRequest(prompt=prompt, temperature=t, n=1) for t in schedule]
-    responses = cached_generate_many(cache, backend, requests, batch_offset, transcript)
+    if responses is None:
+        draws = _draws(task.value_prompt(state), schedule, batch_offset)
+        responses = cached_generate_many(cache, backend, draws, transcript)
     values: list[float] = []
-    for i, (temp, response) in enumerate(zip(schedule, responses)):
-        completion = response.completions[0]
+    for i, temp in enumerate(schedule):
+        completion = next(responses).completions[0]
         value = task.parse_value(completion)
         values.append(value)
         if transcript is not None:
@@ -137,6 +183,7 @@ def evaluate_state(
     config: SearchConfig,
     transcript: Optional[Transcript] = None,
     cache: Optional[ResponseCache] = None,
+    responses: Optional[Iterator[BackendResponse]] = None,
 ) -> ScoredState:
     """Produce the (value, uncertainty, score) triple that drives search.
 
@@ -145,33 +192,26 @@ def evaluate_state(
     variance is computed over that pass alone, at twice the call cost.
     With LUQ off, one draw at t_max stands in for the value and the
     uncertainty is pinned to zero. With guidance off, the score is the
-    bare value rather than the confidence ratio.
+    bare value rather than the confidence ratio. ``responses`` is passed
+    on to sample_values: a stream issued for value_draws(task, state,
+    config), possibly as part of a larger batch.
     """
-    if config.luq_enabled:
-        schedule = temperature_schedule(config.m, config.t_min, config.t_max)
-        first = sample_values(task, state, backend, schedule, transcript, cache)
-        if config.two_pass:
-            second = sample_values(
-                task, state, backend, schedule, transcript, cache,
-                batch_offset=len(schedule),
-            )
-            value = aggregate_value(first)
-            uncertainty = variance(second)
-            samples = tuple(first + second)
-            temperatures = tuple(schedule) + tuple(schedule)
-        else:
-            estimate = estimate_uncertainty(first, config.epsilon, schedule)
-            value = estimate.value
-            uncertainty = estimate.uncertainty
-            samples = estimate.samples
-            temperatures = estimate.temperatures
-    else:
-        schedule = [config.t_max]
-        first = sample_values(task, state, backend, schedule, transcript, cache)
+    passes = _passes(config)
+    batches = [
+        sample_values(
+            task, state, backend, schedule, transcript, cache, offset, responses
+        )
+        for schedule, offset in passes
+    ]
+    first = batches[0]
+    samples = tuple(chain.from_iterable(batches))
+    temperatures = tuple(chain.from_iterable(schedule for schedule, _ in passes))
+    if not config.luq_enabled:
         value = first[0]
         uncertainty = 0.0
-        samples = tuple(first)
-        temperatures = tuple(schedule)
+    else:
+        value = aggregate_value(first)
+        uncertainty = variance(batches[-1])  # two_pass: the second pass alone
 
     if config.ugs_enabled:
         score = confidence_score(value, uncertainty, config.epsilon)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -149,6 +149,7 @@ class TestScriptedBackend:
 class _FakeResponse:
     status_code: int
     payload: dict
+    headers: dict = field(default_factory=dict)
 
     @property
     def text(self):
@@ -235,6 +236,24 @@ class TestHttpBackend:
             )
         assert len(post.calls) == 3  # initial + 2 retries
         assert err.value.last_status == 429
+
+    def test_retry_after_seconds_lengthen_the_backoff(self, monkeypatch):
+        limited = [
+            _FakeResponse(429, {}, {"Retry-After": "3"}),
+            _FakeResponse(429, {}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+            _FakeResponse(429, {}, {"Retry-After": "0"}),
+            _FakeResponse(500, {}, {"Retry-After": "9"}),
+            _FakeResponse(200, _choices("ok")),
+        ]
+        monkeypatch.setattr("requests.post", _PostLog(limited))
+        delays = []
+        monkeypatch.setattr("tout.backends.time.sleep", delays.append)
+        response = _http_backend(backoff_s=0.5, max_retries=4).generate(
+            BackendRequest(prompt="p", temperature=0.5)
+        )
+        assert response.completions == ("ok",)
+        # max(backoff, Retry-After) after a 429; other forms and codes: backoff
+        assert delays == [3.0, 1.0, 2.0, 4.0]
 
     def test_shortfall_topped_up_one_at_a_time(self, monkeypatch):
         post = _PostLog(

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import logging
+import time
 
 from dataclasses import replace
 
@@ -214,9 +215,13 @@ class TestRunBenchmark:
 class _FailingBackend(Backend):
     backend_id = "failing"
 
+    def __init__(self, delay_s: float = 0.0):
+        self.delay_s = delay_s
+
     def generate(self, request: BackendRequest):
         from tout.model import BackendUnavailableError
 
+        time.sleep(self.delay_s)
         raise BackendUnavailableError("synthetic outage", last_status=503)
 
 
@@ -251,6 +256,19 @@ class TestAbort:
         report = run_benchmark(task, problems, "tout_bfs", factory, QUICK)
         assert report.episodes == 5
         assert report.metrics["backend_error"] == pytest.approx(1 / 5)
+
+    def test_parallel_abort_cancels_episodes_not_started(self):
+        task = build_trap_benchmark(depth=1).task()
+        started = []
+
+        def factory(seed):
+            started.append(seed)
+            return _FailingBackend(delay_s=0.02)
+
+        with pytest.raises(RunAbortedError):
+            run_benchmark(task, self._problems(10), "tout_bfs", factory, QUICK, jobs=2)
+        # the sixth failure crosses the threshold with at most two more running
+        assert len(started) < 10
 
     def test_parallel_abort_after_settling(self):
         task = build_trap_benchmark(depth=1).task()

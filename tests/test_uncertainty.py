@@ -35,9 +35,10 @@ from tout import (
 from tout.backends import Backend, BackendResponse, ResponseCache
 from tout.harness import run_benchmark, synthetic_setup
 from tout.model import BackendUnavailableError, StateStore
-from tout.tasks import make_task
-from tout.tasks.synthetic import build_trap_benchmark
-from tout.uncertainty import sample_values
+from tout.search import tout_bfs
+from tout.tasks import Problem, make_task
+from tout.tasks.synthetic import GOOD, TRAP, SyntheticTreeTask, build_trap_benchmark
+from tout.uncertainty import sample_values, value_draws
 
 from helpers import EpisodeScript, make_state, population_variance
 
@@ -368,3 +369,109 @@ class TestConcurrentDraws:
         events, entries = outcomes[0]
         assert [e["index"] for e in events if e["event"] == "sample"] == [0, 1, 2, 3, 4]
         assert len(entries) == 5
+
+    @pytest.mark.parametrize("method, options", [
+        ("tout_bfs", {}),
+        ("tout_dfs", {}),
+        ("tout_bfs", {"two_pass": True}),
+        ("tout_bfs", {"luq_enabled": False}),
+    ])
+    def test_draws_of_sibling_states_overlap(self, tmp_path, method, options):
+        bench = build_trap_benchmark(depth=2)
+        task, problems, _ = synthetic_setup(bench, episodes=3)
+        config = SearchConfig(k=3, b=2, T=2, m=2, **options)
+        per_state = len(value_draws(task, StateStore().root("root"), config))
+        outcomes = []
+        switch = sys.getswitchinterval()
+        for width in (1, 4):
+            backend = _KeyedSlowBackend(width, bench.children)
+            cache = ResponseCache(tmp_path / f"width{width}")
+            sys.setswitchinterval(1e-5)
+            try:
+                report = run_benchmark(task, problems, method,
+                                       lambda seed: backend, config, cache=cache,
+                                       run_seed=5)
+            finally:
+                sys.setswitchinterval(switch)
+                backend.close()
+            outcomes.append((
+                [r.record.to_json() for r in report.results],
+                backend.calls,
+                _cache_contents(cache),
+            ))
+            assert backend.peak <= width
+            if 1 < width and per_state < width:
+                # a higher peak than one state's draws means siblings overlapped
+                assert backend.peak > per_state
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_siblings_sharing_a_value_prompt(self, tmp_path, cached):
+        bench = build_trap_benchmark(depth=1)
+        task = _SharedValuePromptTask(max_steps=1)
+        problems = [Problem(problem_id="synthetic/0", input="root", truth=bench.truth)]
+        config = SearchConfig(k=2, b=1, T=1, m=4)
+        outcomes = []
+        for width, eval_workers in ((1, 1), (4, 1), (4, 2)):
+            backend = _KeyedSlowBackend(width, bench.children)
+            cache = ResponseCache(tmp_path / f"{width}-{eval_workers}") if cached else None
+            try:
+                report = run_benchmark(task, problems, "tout_bfs", lambda seed: backend,
+                                       replace(config, eval_workers=eval_workers),
+                                       cache=cache)
+            finally:
+                backend.close()
+            (result,) = report.results
+            outcomes.append((
+                result.record.to_json(),
+                backend.calls,
+                _cache_contents(cache) if cached else None,
+            ))
+        # one propose call, then m draws per distinct value prompt
+        assert outcomes[0][1] == 1 + (1 if cached else 2) * config.m
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2][1:] == outcomes[0][1:]  # eval_workers is in the record
+
+    @pytest.mark.parametrize("failure", ["backend", "parse"])
+    def test_failed_batch_cancels_the_draws_not_started(self, tmp_path, failure):
+        bench = build_trap_benchmark(depth=1)
+        bench.children["root"] = ["a", "b", "c"]
+        config = SearchConfig(k=3, b=1, T=1, m=40)
+        if failure == "backend":
+            task, error = bench.task(), BackendUnavailableError
+            fail_temperature = config.t_min
+        else:
+            task, error = _UnparsableValueTask(max_steps=1), ValueError
+            fail_temperature = None
+        outcomes = []
+        for width in (1, 4):
+            backend = _KeyedSlowBackend(width, bench.children, fail_temperature)
+            cache = ResponseCache(tmp_path / f"width{width}")
+            transcript = Transcript()
+            try:
+                # the traceback held in ``raised`` keeps the response stream
+                # alive, so only an explicit close can cancel its draws
+                with pytest.raises(error) as raised:
+                    tout_bfs(task, "root", backend, config, transcript, cache)
+            finally:
+                backend.close()
+            assert raised.traceback
+            outcomes.append((_without_latency(transcript.events),
+                             _cache_contents(cache)))
+            # the first draw of the first state fails; the step has 3 * m draws
+            assert backend.calls < 1 + config.m
+        assert outcomes[0] == outcomes[1]
+        draws = 1 if failure == "parse" else 0
+        assert [e["event"] for e in outcomes[0][0]] == ["generate", "expand"] + ["generate"] * draws
+
+
+class _UnparsableValueTask(SyntheticTreeTask):
+    def parse_value(self, text):
+        raise ValueError(f"not a value: {text!r}")
+
+
+class _SharedValuePromptTask(SyntheticTreeTask):
+    """The trap tree with a trap child valued by its good sibling's prompt."""
+
+    def value_prompt(self, state):
+        return super().value_prompt(state).replace(TRAP, GOOD)
