@@ -169,7 +169,8 @@ class HttpBackend(Backend):
     empty text (the shortfall is logged). Transient failures, including a
     200 whose body is not a JSON object, retry with exponential backoff
     before raising BackendUnavailableError with the last HTTP status; a 429
-    whose Retry-After gives seconds waits at least that long.
+    whose Retry-After gives seconds waits at least that long, unless it asks
+    for more than ``backoff_s * 2**max_retries``, which fails at once.
 
     At most ``max_in_flight`` requests are on the wire at once across all
     threads. ``executor()`` is a pool of that width, shared by every caller,
@@ -265,6 +266,10 @@ class HttpBackend(Backend):
             last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
             if resp.status_code == 429:
                 retry_after = _retry_after_s(resp.headers.get("Retry-After"))
+                if retry_after > self.backoff_s * 2**self.max_retries:
+                    # a quota that far off: sleeping on it would stall the run
+                    last_error += f" (Retry-After {retry_after:g}s)"
+                    break
             elif 400 <= resp.status_code < 500:
                 break  # client errors won't heal on retry
         raise BackendUnavailableError(
@@ -449,10 +454,13 @@ class ResponseCache:
             log.warning("damaged cache entry %s treated as a miss: %s", key, exc)
             return None
 
-    def put(self, key: str, response: BackendResponse) -> None:
-        """Write an entry through a temporary file, so readers never see half."""
+    def put(self, key: str, response: BackendResponse) -> bool:
+        """Write an entry through a temporary file, so readers never see half.
+
+        Returns whether the entry was written.
+        """
         if not self.enabled:
-            return
+            return False
         data = {"completions": list(response.completions), "usage": response.usage}
         tmp: Optional[str] = None
         try:
@@ -460,6 +468,7 @@ class ResponseCache:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(json.dumps(data))
             os.replace(tmp, self._path(key))
+            return True
         except OSError as exc:
             log.warning("cache write failed for %s: %s", key, exc)
             if tmp is not None:
@@ -467,6 +476,7 @@ class ResponseCache:
                     os.unlink(tmp)
                 except OSError:
                     pass
+            return False
 
 
 def cached_generate(
@@ -501,8 +511,10 @@ def cached_generate_many(
     one ``ResponseCache.get`` per draw, in order, and submits the misses to
     ``backend.executor()`` all at once; hits are served inline. A miss whose
     cache key an earlier miss of the batch already carries is not issued
-    again: it gets the earlier response, as the sequential loop would have
-    got it from the cache (no ``generate`` event, no ``put``). Without an
+    with them: once the earlier response is put, it is served that response,
+    as the sequential loop would have read it from the cache (no
+    ``generate`` event, no ``put``); if that put failed, it goes through
+    cached_generate in its turn, as in the sequential loop. Without an
     enabled cache every miss is issued. Response i is yielded as soon as it
     is done, after it is cached and its buffered transcript events are
     replayed, so the transcript, the cache and the backend calls end as the
@@ -541,14 +553,20 @@ def cached_generate_many(
         futures = {
             i: pool.submit(generate, backend, draws[i][0], buffers[i]) for i in misses
         }
+    stored: set[str] = set()  # keys whose put in this batch was written
     try:
         for i in range(len(draws)):
-            if i in twins:
+            if i in twins and keys[i] in stored:
                 responses[i] = responses[twins[i]]
+            elif i in twins:
+                request, batch_index = draws[i]
+                responses[i] = cached_generate(
+                    cache, backend, request, batch_index, transcript
+                )
             elif i in futures:
                 responses[i] = futures[i].result()
-                if keys:
-                    cache.put(keys[i], responses[i])
+                if keys and cache.put(keys[i], responses[i]):
+                    stored.add(keys[i])
                 if transcript is not None:
                     transcript.events.extend(buffers[i].events)
             yield responses[i]

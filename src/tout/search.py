@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -94,41 +95,33 @@ def _evaluate_states(
 ) -> list[ScoredState]:
     """Evaluate several states; the transcript is the same however it runs.
 
-    On a backend wider than one request, the value draws of all the states
-    go out as one cached_generate_many batch, which the first state's
-    sample_values submits; each state then takes its own responses from the
-    shared stream in order, as they complete. Closing the stream cancels
-    the draws not yet started when a state fails. Narrower backends
-    evaluate one state after another, or with config.eval_workers above 1
-    on a pool whose per-state transcript buffers are replayed in state
-    order.
+    The value draws of all the states form one cached_generate_many batch,
+    which the first state's sample_values submits; each state then takes
+    its own responses from the shared stream in order, as they complete.
+    On a backend wider than one request the draws are in flight together;
+    on a narrower one they are made one after another. Closing the stream
+    cancels the draws not yet started when a state fails. A narrow backend
+    with config.eval_workers above 1 instead evaluates the states on a
+    pool whose per-state transcript buffers are replayed in state order.
     """
-    if backend.max_in_flight > 1:
-        draws = [d for s in states for d in value_draws(task, s, config)]
-        responses = cached_generate_many(cache, backend, draws, transcript)
-        try:
-            return [
-                evaluate_state(task, s, backend, config, transcript, cache, responses)
-                for s in states
+    if backend.max_in_flight <= 1 and config.eval_workers > 1 and len(states) > 1:
+        buffers = [Transcript() for _ in states]
+        with ThreadPoolExecutor(max_workers=config.eval_workers) as pool:
+            futures = [
+                pool.submit(evaluate_state, task, s, backend, config, buf, cache)
+                for s, buf in zip(states, buffers)
             ]
-        finally:
-            responses.close()
-    if config.eval_workers <= 1 or len(states) <= 1:
+            results = [f.result() for f in futures]
+        if transcript is not None:
+            for buf in buffers:
+                transcript.events.extend(buf.events)
+        return results
+    draws = [d for s in states for d in value_draws(task, s, config)]
+    with closing(cached_generate_many(cache, backend, draws, transcript)) as responses:
         return [
-            evaluate_state(task, s, backend, config, transcript, cache)
+            evaluate_state(task, s, backend, config, transcript, cache, responses)
             for s in states
         ]
-    buffers = [Transcript() for _ in states]
-    with ThreadPoolExecutor(max_workers=config.eval_workers) as pool:
-        futures = [
-            pool.submit(evaluate_state, task, s, backend, config, buf, cache)
-            for s, buf in zip(states, buffers)
-        ]
-        results = [f.result() for f in futures]
-    if transcript is not None:
-        for buf in buffers:
-            transcript.events.extend(buf.events)
-    return results
 
 
 def finalize_output(

@@ -114,51 +114,34 @@ def _passes(config: SearchConfig) -> list[tuple[list[float], int]]:
     return [(schedule, 0)]
 
 
-def _draws(
-    prompt: str, schedule: Sequence[float], batch_offset: int
-) -> list[tuple[BackendRequest, int]]:
-    return [
-        (BackendRequest(prompt=prompt, temperature=t, n=1), batch_offset + i)
-        for i, t in enumerate(schedule)
-    ]
-
-
 def value_draws(
     task: TaskSpec, state: State, config: SearchConfig
 ) -> list[tuple[BackendRequest, int]]:
     """Every (request, cache batch index) that evaluate_state draws for the
-    state, in the order it consumes their responses."""
+    state, in the order it consumes their responses.
+
+    Each draw is its own request (temperatures differ across the schedule)
+    and carries its index as the cache batch index, so repeated draws at
+    one temperature are still distinct requests.
+    """
     prompt = task.value_prompt(state)
     return [
-        draw
+        (BackendRequest(prompt=prompt, temperature=t, n=1), offset + i)
         for schedule, offset in _passes(config)
-        for draw in _draws(prompt, schedule, offset)
+        for i, t in enumerate(schedule)
     ]
 
 
 def sample_values(
     task: TaskSpec,
     state: State,
-    backend: Backend,
     schedule: Sequence[float],
+    responses: Iterator[BackendResponse],
     transcript: Optional[Transcript] = None,
-    cache: Optional[ResponseCache] = None,
     batch_offset: int = 0,
-    responses: Optional[Iterator[BackendResponse]] = None,
 ) -> list[float]:
-    """Evaluate the state once per scheduled temperature.
-
-    Each draw is its own request (temperatures differ across the schedule)
-    and carries its index as the cache batch index, so repeated draws at
-    one temperature are still distinct requests. The draws are independent,
-    so a backend wider than one request has its cache misses in flight
-    together; the transcript is the same either way. ``responses``, when
-    given, is a stream already issued for these draws (see value_draws):
-    the next len(schedule) responses are taken from it.
-    """
-    if responses is None:
-        draws = _draws(task.value_prompt(state), schedule, batch_offset)
-        responses = cached_generate_many(cache, backend, draws, transcript)
+    """Parse the next len(schedule) responses of a stream issued for the
+    state's value draws (see value_draws), one per scheduled temperature."""
     values: list[float] = []
     for i, temp in enumerate(schedule):
         completion = next(responses).completions[0]
@@ -192,17 +175,25 @@ def evaluate_state(
     variance is computed over that pass alone, at twice the call cost.
     With LUQ off, one draw at t_max stands in for the value and the
     uncertainty is pinned to zero. With guidance off, the score is the
-    bare value rather than the confidence ratio. ``responses`` is passed
-    on to sample_values: a stream issued for value_draws(task, state,
-    config), possibly as part of a larger batch.
+    bare value rather than the confidence ratio. ``responses``, when
+    given, is a stream issued for value_draws(task, state, config),
+    possibly as part of a larger batch; otherwise the state's draws go out
+    as a cached_generate_many batch of their own, independent requests
+    that a backend wider than one request has in flight together.
     """
     passes = _passes(config)
-    batches = [
-        sample_values(
-            task, state, backend, schedule, transcript, cache, offset, responses
-        )
-        for schedule, offset in passes
-    ]
+    stream = responses
+    if stream is None:
+        draws = value_draws(task, state, config)
+        stream = cached_generate_many(cache, backend, draws, transcript)
+    try:
+        batches = [
+            sample_values(task, state, schedule, stream, transcript, offset)
+            for schedule, offset in passes
+        ]
+    finally:
+        if responses is None:
+            stream.close()
     first = batches[0]
     samples = tuple(chain.from_iterable(batches))
     temperatures = tuple(chain.from_iterable(schedule for schedule, _ in passes))

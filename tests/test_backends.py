@@ -255,6 +255,20 @@ class TestHttpBackend:
         # max(backoff, Retry-After) after a 429; other forms and codes: backoff
         assert delays == [3.0, 1.0, 2.0, 4.0]
 
+    def test_retry_after_beyond_the_retry_budget_fails_at_once(self, monkeypatch):
+        # the backoff ladder waits at most 0.5 * 2**4 = 8 s in all
+        post = _PostLog([_FakeResponse(429, {}, {"Retry-After": "3600"})])
+        monkeypatch.setattr("requests.post", post)
+        delays = []
+        monkeypatch.setattr("tout.backends.time.sleep", delays.append)
+        with pytest.raises(BackendUnavailableError) as err:
+            _http_backend(backoff_s=0.5, max_retries=4).generate(
+                BackendRequest(prompt="p", temperature=0.5)
+            )
+        assert err.value.last_status == 429
+        assert "Retry-After 3600s" in str(err.value)
+        assert len(post.calls) == 1 and delays == []
+
     def test_shortfall_topped_up_one_at_a_time(self, monkeypatch):
         post = _PostLog(
             [

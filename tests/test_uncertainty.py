@@ -38,7 +38,7 @@ from tout.model import BackendUnavailableError, StateStore
 from tout.search import tout_bfs
 from tout.tasks import Problem, make_task
 from tout.tasks.synthetic import GOOD, TRAP, SyntheticTreeTask, build_trap_benchmark
-from tout.uncertainty import sample_values, value_draws
+from tout.uncertainty import value_draws
 
 from helpers import EpisodeScript, make_state, population_variance
 
@@ -265,18 +265,22 @@ class _KeyedSlowBackend(Backend):
     Each call sleeps a random few milliseconds, so concurrent draws complete
     out of order, and the highest number of calls in flight is recorded.
     A value request at ``fail_temperature`` raises BackendUnavailableError.
+    Value requests are held until ``gather`` calls have been in flight at
+    once, so an overlap the caller allows shows in the peak even on a
+    loaded host; after a second without it, calls are no longer held.
     """
 
     backend_id = "keyed-slow"
 
-    def __init__(self, width, children, fail_temperature=None):
+    def __init__(self, width, children, fail_temperature=None, gather=0):
         self.max_in_flight = width
         self.children = children
         self.fail_temperature = fail_temperature
+        self.gather = gather
         self.calls = 0
         self.peak = 0
         self._in_flight = 0
-        self._lock = threading.Lock()
+        self._lock = threading.Condition()
         self._pool = ThreadPoolExecutor(max_workers=width)
 
     def executor(self):
@@ -286,13 +290,18 @@ class _KeyedSlowBackend(Backend):
         self._pool.shutdown(wait=True)
 
     def generate(self, request):
+        kind, key = request.prompt.split(" ", 1)
         with self._lock:
             self.calls += 1
             self._in_flight += 1
             self.peak = max(self.peak, self._in_flight)
+            self._lock.notify_all()
+            if kind != "PROPOSE" and not self._lock.wait_for(
+                lambda: self.peak >= self.gather, timeout=1.0
+            ):
+                self.gather = 0  # never reached: stop holding calls
         try:
             time.sleep(random.uniform(0.0, 0.004))
-            kind, key = request.prompt.split(" ", 1)
             if kind == "PROPOSE":
                 return BackendResponse(("\n".join(self.children.get(key, [])),))
             if request.temperature == self.fail_temperature:
@@ -351,7 +360,8 @@ class TestConcurrentDraws:
         bench = build_trap_benchmark(depth=2)
         task = bench.task()
         state = StateStore().root("root")
-        schedule = temperature_schedule(8, 0.2, 1.0)
+        config = SearchConfig(m=8, t_min=0.2, t_max=1.0)
+        schedule = temperature_schedule(config.m, config.t_min, config.t_max)
         outcomes = []
         for width in (1, 4):
             backend = _KeyedSlowBackend(width, bench.children,
@@ -360,7 +370,7 @@ class TestConcurrentDraws:
             transcript = Transcript()
             try:
                 with pytest.raises(BackendUnavailableError):
-                    sample_values(task, state, backend, schedule, transcript, cache)
+                    evaluate_state(task, state, backend, config, transcript, cache)
             finally:
                 backend.close()
             outcomes.append((_without_latency(transcript.events),
@@ -384,7 +394,9 @@ class TestConcurrentDraws:
         outcomes = []
         switch = sys.getswitchinterval()
         for width in (1, 4):
-            backend = _KeyedSlowBackend(width, bench.children)
+            # a higher peak than one state's draws means siblings overlapped
+            gather = per_state + 1 if per_state < width else 0
+            backend = _KeyedSlowBackend(width, bench.children, gather=gather)
             cache = ResponseCache(tmp_path / f"width{width}")
             sys.setswitchinterval(1e-5)
             try:
@@ -400,13 +412,18 @@ class TestConcurrentDraws:
                 _cache_contents(cache),
             ))
             assert backend.peak <= width
-            if 1 < width and per_state < width:
-                # a higher peak than one state's draws means siblings overlapped
-                assert backend.peak > per_state
+            if gather:
+                assert backend.peak >= gather
         assert outcomes[0] == outcomes[1]
 
-    @pytest.mark.parametrize("cached", [True, False])
-    def test_siblings_sharing_a_value_prompt(self, tmp_path, cached):
+    @pytest.mark.parametrize("cache_kind", ["writable", "unwritable", None])
+    def test_siblings_sharing_a_value_prompt(self, tmp_path, monkeypatch, cache_kind):
+        def unwritable(src, dst):
+            raise OSError("read-only cache")
+
+        if cache_kind == "unwritable":
+            monkeypatch.setattr("tout.backends.os.replace", unwritable)
+        cached = cache_kind is not None
         bench = build_trap_benchmark(depth=1)
         task = _SharedValuePromptTask(max_steps=1)
         problems = [Problem(problem_id="synthetic/0", input="root", truth=bench.truth)]
@@ -427,8 +444,8 @@ class TestConcurrentDraws:
                 backend.calls,
                 _cache_contents(cache) if cached else None,
             ))
-        # one propose call, then m draws per distinct value prompt
-        assert outcomes[0][1] == 1 + (1 if cached else 2) * config.m
+        # one propose call, then m draws per value prompt the cache cannot answer
+        assert outcomes[0][1] == 1 + (1 if cache_kind == "writable" else 2) * config.m
         assert outcomes[1] == outcomes[0]
         assert outcomes[2][1:] == outcomes[0][1:]  # eval_workers is in the record
 
