@@ -25,7 +25,6 @@ from .backends import (
 )
 from .harness import (
     RunAbortedError,
-    RunConfig,
     default_run_id,
     emit_results,
     report_rows,
@@ -56,7 +55,7 @@ TASK_DEFAULT_METHOD = {
 }
 TASK_DEFAULT_STEPS = {"game24": 3, "crosswords": 10}
 
-SEARCH_BOOL = ("luq_enabled", "ugs_enabled", "two_pass")
+SEARCH_BOOL = ("luq_enabled", "ugs_enabled")
 SEARCH_FLOAT = ("t_min", "t_max", "v_th", "u_th", "epsilon")
 
 
@@ -93,14 +92,6 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="select by value instead of value/(uncertainty+epsilon)",
     )
-    group.add_argument(
-        "--two-pass",
-        dest="two_pass",
-        action="store_const",
-        const=True,
-        default=None,
-        help="separate sampling passes for value and uncertainty",
-    )
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -135,13 +126,35 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     _add_search_flags(parser)
 
 
+def _ini_keys() -> dict[str, set[str]]:
+    """Keys each INI section takes: [search] the search flags' dests (steps
+    for T), [run] the other run flags' dests."""
+    search, run = argparse.ArgumentParser(), argparse.ArgumentParser()
+    _add_search_flags(search)
+    _add_run_flags(run)
+    search_keys = set(vars(search.parse_args([])))
+    return {
+        "search": {"steps" if key == "T" else key for key in search_keys},
+        "run": set(vars(run.parse_args([]))) - search_keys - {"config"},
+    }
+
+
 def load_ini(path: Optional[str]) -> Optional[configparser.ConfigParser]:
+    """The INI file at path; a key its section does not take is an error."""
     if path is None:
         return None
     ini = configparser.ConfigParser()
     read = ini.read(path)
     if not read:
         raise InvalidArgumentError(f"config file not found: {path}")
+    for section, keys in _ini_keys().items():
+        if ini.has_section(section):
+            for key in ini.options(section):
+                if key not in keys:
+                    raise InvalidArgumentError(
+                        f"{path}: unknown key {key!r} in [{section}], "
+                        f"expected one of {', '.join(sorted(keys))}"
+                    )
     return ini
 
 
@@ -200,13 +213,15 @@ def load_script(path: str | Path) -> tuple[dict[tuple[str, int, int], str], str]
 class _Invocation:
     """Everything a run-style subcommand needs, resolved from flags + INI."""
 
-    run: RunConfig
     task: Any
     problems: list
+    method: str
+    config: SearchConfig
     factory: Callable[[int], Backend]
     run_kwargs: dict[str, Any]
     fmt: str
     out: Optional[str]
+    out_dir: Optional[Path]
     run_id: str
 
 
@@ -228,62 +243,66 @@ def _setup(args: argparse.Namespace, id_suffix: str = "") -> _Invocation:
     out = _opt(args, ini, "out", str, None)
     out_dir = _opt(args, ini, "out_dir", str, None)
     dataset = _opt(args, ini, "dataset", str, None)
+    synthetic = task_name == "synthetic"
+    backend_kind = _opt(args, ini, "backend", str, "synthetic" if synthetic else "http")
+    if start < 0:
+        raise InvalidArgumentError("start must be >= 0")
+    if episodes is not None and episodes <= 0:
+        raise InvalidArgumentError("episodes must be positive when given")
+    if backend_kind == "synthetic" and not synthetic:
+        raise InvalidArgumentError(
+            "the synthetic backend only answers the synthetic task"
+        )
+    if synthetic and backend_kind != "synthetic":
+        raise InvalidArgumentError("the synthetic task needs backend=synthetic")
+    if synthetic and start > 0:
+        # its episodes are always synthetic/0.., so an offset would rerun
+        # (or, with the same records file, resume) an earlier run's episodes
+        raise InvalidArgumentError(
+            "the synthetic task has no dataset to offset: --start must be 0"
+        )
 
     values = build_search_values(args, ini)
-    if task_name == "synthetic":
+    if synthetic:
         depth = _opt(args, ini, "depth", int, 3)
         values.setdefault("T", depth)
-        backend_kind = _opt(args, ini, "backend", str, "synthetic")
-    else:
-        values.setdefault("T", TASK_DEFAULT_STEPS[task_name])
-        backend_kind = _opt(args, ini, "backend", str, "http")
-    values["seed"] = seed
-    config = dataclasses.replace(SearchConfig(), **values)
-
-    run = RunConfig(
-        task=task_name,
-        method=method,
-        backend=backend_kind,
-        search=config,
-        dataset=Path(dataset) if dataset else None,
-        out_dir=Path(out_dir) if out_dir else None,
-        start=start,
-        episodes=episodes,
-        jobs=jobs,
-        run_id=_opt(args, ini, "run_id", str, "") or "",
-    )
-    run.validate()
-
-    if task_name == "synthetic":
-        benchmark = build_trap_benchmark(depth=_opt(args, ini, "depth", int, 3))
+        benchmark = build_trap_benchmark(depth=depth)
         task, problems, factory = synthetic_setup(benchmark, episodes or 100)
     else:
-        if run.dataset is None:
+        values.setdefault("T", TASK_DEFAULT_STEPS[task_name])
+        if dataset is None:
             raise InvalidArgumentError(f"--dataset is required for task {task_name}")
-        problems = load_problems(task_name, run.dataset)
+        problems = load_problems(task_name, dataset)
         stop = start + episodes if episodes is not None else None
         problems = problems[start:stop]
         if not problems:
             raise InvalidArgumentError("no problems selected, check --start/--episodes")
         task = make_task(task_name)
         factory = _constant(_build_backend(backend_kind, args, ini))
+    values["seed"] = seed
+    config = dataclasses.replace(SearchConfig(), **values)
 
-    run_id = run.run_id or default_run_id(task_name, method, config) + id_suffix
-    if run.out_dir is not None and records is None:
-        transcripts = run.out_dir / "transcripts"
+    run_id = _opt(args, ini, "run_id", str, "") or (
+        default_run_id(task_name, method, config) + id_suffix
+    )
+    out_path = Path(out_dir) if out_dir else None
+    if out_path is not None and records is None:
+        transcripts = out_path / "transcripts"
         transcripts.mkdir(parents=True, exist_ok=True)
         records = str(transcripts / f"{run_id}.jsonl")
 
     cache = ResponseCache(cache_dir) if cache_dir else None
     run_kwargs = dict(cache=cache, record_path=records, run_seed=seed, jobs=jobs)
     return _Invocation(
-        run=run,
         task=task,
         problems=problems,
+        method=method,
+        config=config,
         factory=factory,
         run_kwargs=run_kwargs,
         fmt=fmt,
         out=out,
+        out_dir=out_path,
         run_id=run_id,
     )
 
@@ -291,8 +310,8 @@ def _setup(args: argparse.Namespace, id_suffix: str = "") -> _Invocation:
 def _deliver_rows(inv: _Invocation, rows) -> None:
     """stdout/--out in the chosen format, plus both files under --out-dir."""
     _deliver(emit_results(rows, fmt=inv.fmt), inv.out)
-    if inv.run.out_dir is not None:
-        results_dir = inv.run.out_dir / "results"
+    if inv.out_dir is not None:
+        results_dir = inv.out_dir / "results"
         results_dir.mkdir(parents=True, exist_ok=True)
         (results_dir / f"{inv.run_id}.csv").write_text(
             emit_results(rows, fmt="csv"), encoding="utf-8"
@@ -324,11 +343,7 @@ def _build_backend(
             raise InvalidArgumentError("--script is required for the scripted backend")
         script, default = load_script(script_path)
         return ScriptedBackend(script, default=default)
-    raise InvalidArgumentError(
-        f"backend {kind!r} is only valid for the synthetic task"
-        if kind == "synthetic"
-        else f"unknown backend {kind!r}"
-    )
+    raise InvalidArgumentError(f"unknown backend {kind!r}")
 
 
 def _deliver(table: str, out: Optional[str]) -> None:
@@ -341,7 +356,7 @@ def _deliver(table: str, out: Optional[str]) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     inv = _setup(args)
     report = run_benchmark(
-        inv.task, inv.problems, inv.run.method, inv.factory, inv.run.search,
+        inv.task, inv.problems, inv.method, inv.factory, inv.config,
         **inv.run_kwargs,
     )
     _deliver_rows(inv, report.rows())
@@ -351,7 +366,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_ablate(args: argparse.Namespace) -> int:
     inv = _setup(args, id_suffix="-ablate")
     reports = run_ablation(
-        inv.task, inv.problems, inv.run.method, inv.factory, inv.run.search,
+        inv.task, inv.problems, inv.method, inv.factory, inv.config,
         **inv.run_kwargs,
     )
     _deliver_rows(inv, report_rows(reports))
@@ -367,7 +382,7 @@ def cmd_sweep_m(args: argparse.Namespace) -> int:
     if not m_values:
         raise InvalidArgumentError("--m-values is empty")
     reports = run_m_sweep(
-        inv.task, inv.problems, inv.run.method, inv.factory, inv.run.search,
+        inv.task, inv.problems, inv.method, inv.factory, inv.config,
         m_values, **inv.run_kwargs,
     )
     _deliver_rows(inv, report_rows(reports))

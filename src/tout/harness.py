@@ -19,7 +19,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import NormalDist
 from typing import Callable, Optional, Sequence
@@ -34,68 +34,17 @@ from .model import (
     TaskSpec,
     Transcript,
 )
-from .search import METHODS, run_method
-from .tasks import TASK_NAMES, Problem
-from .tasks.crosswords import SIZE, SLOTS, board_from_thoughts, score_board
+from .search import run_method
+from .tasks import Problem
 from .tasks.synthetic import TrapBenchmark
 
 log = logging.getLogger(__name__)
 
 RESULT_COLUMNS = ("method", "m", "b", "metric", "value", "episodes", "seconds")
 
-BACKEND_KINDS = ("http", "scripted", "synthetic")
-
 
 class RunAbortedError(RuntimeError):
     """Too many episodes failed; the partial records remain on disk."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One benchmark invocation: what to run, on what data, and where.
-
-    The episode range is [start, start+episodes) over the dataset order;
-    episodes=None means through the end.
-    """
-
-    task: str
-    method: str
-    backend: str = "http"
-    search: SearchConfig = field(default_factory=SearchConfig)
-    dataset: Optional[Path] = None
-    out_dir: Optional[Path] = None
-    start: int = 0
-    episodes: Optional[int] = None
-    jobs: int = 1
-    run_id: str = ""
-
-    def validate(self) -> None:
-        if self.task not in TASK_NAMES:
-            raise InvalidArgumentError(
-                f"unknown task {self.task!r}, expected one of {', '.join(TASK_NAMES)}"
-            )
-        if self.method not in METHODS:
-            raise InvalidArgumentError(
-                f"unknown method {self.method!r}, expected one of {', '.join(METHODS)}"
-            )
-        if self.backend not in BACKEND_KINDS:
-            raise InvalidArgumentError(
-                f"unknown backend {self.backend!r}, "
-                f"expected one of {', '.join(BACKEND_KINDS)}"
-            )
-        if self.backend == "synthetic" and self.task != "synthetic":
-            raise InvalidArgumentError(
-                "the synthetic backend only answers the synthetic task"
-            )
-        if self.task == "synthetic" and self.backend != "synthetic":
-            raise InvalidArgumentError("the synthetic task needs backend=synthetic")
-        if self.start < 0:
-            raise InvalidArgumentError("start must be >= 0")
-        if self.episodes is not None and self.episodes <= 0:
-            raise InvalidArgumentError("episodes must be positive when given")
-        if self.jobs < 1:
-            raise InvalidArgumentError("jobs must be >= 1")
-        self.search.validate()
 
 
 @dataclass(frozen=True)
@@ -203,37 +152,6 @@ def load_existing_records(path: str | Path) -> dict[tuple[str, str], RunRecord]:
     return existing
 
 
-def best_path_from_events(events: Sequence[dict]) -> Optional[list[str]]:
-    """Thought path of the highest-scoring evaluated state, earliest on ties."""
-    best_path: Optional[list[str]] = None
-    best_score: Optional[float] = None
-    for event in events:
-        if event.get("event") != "evaluate":
-            continue
-        score = event.get("score")
-        if score is None or "path" not in event:
-            continue
-        if best_score is None or score > best_score:
-            best_score = score
-            best_path = list(event["path"])
-    return best_path
-
-
-def _crossword_best_metrics(
-    events: Sequence[dict], truth: Sequence[str]
-) -> dict[str, float]:
-    path = best_path_from_events(events)
-    if path is None:
-        return {}
-    board = board_from_thoughts(tuple(path))
-    letters, words, game = score_board(board, tuple(str(w).upper() for w in truth))
-    return {
-        "letters_best": letters / (SIZE * SIZE),
-        "words_best": words / len(SLOTS),
-        "game_best": float(game),
-    }
-
-
 def _run_episode(
     task: TaskSpec,
     problem: Problem,
@@ -269,8 +187,7 @@ def _run_episode(
     if backend_error:
         verdicts["backend_error"] = 1.0
     events = transcript.record_events()
-    if task.name == "crosswords" and problem.truth is not None:
-        verdicts.update(_crossword_best_metrics(events, problem.truth))
+    verdicts.update(task.extra_verdicts(events, problem.truth))
 
     record = RunRecord(
         config={"method": method, "digest": digest, "search": config.snapshot()},
@@ -314,6 +231,8 @@ def run_benchmark(
     config.validate()
     if not problems:
         raise InvalidArgumentError("no episodes selected: the problem list is empty")
+    if jobs < 1:
+        raise InvalidArgumentError("jobs must be >= 1")
     base = replace(config, seed=run_seed)
     digest = config_digest(task.name, method, base)
     existing = load_existing_records(record_path) if record_path else {}
@@ -355,7 +274,7 @@ def run_benchmark(
             )
 
     failed = 0
-    if jobs <= 1:
+    if jobs == 1:
         results = []
         for i, p in enumerate(problems):
             result = run_one(i, p)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 
 class InvalidArgumentError(ValueError):
@@ -179,7 +179,6 @@ class SearchConfig:
     ugs_enabled: bool = True
     seed: int = 0
     max_outputs: int = 3
-    two_pass: bool = False
     eval_workers: int = 1
 
     def validate(self) -> None:
@@ -236,6 +235,22 @@ class Transcript:
 
     def __len__(self) -> int:
         return len(self.events)
+
+
+def best_path_from_events(events: Sequence[dict]) -> Optional[list[str]]:
+    """Thought path of the highest-scoring evaluated state, earliest on ties."""
+    best_path: Optional[list[str]] = None
+    best_score: Optional[float] = None
+    for event in events:
+        if event.get("event") != "evaluate":
+            continue
+        score = event.get("score")
+        if score is None or "path" not in event:
+            continue
+        if best_score is None or score > best_score:
+            best_score = score
+            best_path = list(event["path"])
+    return best_path
 
 
 @dataclass
@@ -304,6 +319,13 @@ class TaskSpec:
 
     def check_success(self, output: str, truth: Any) -> dict[str, float]:
         raise NotImplementedError
+
+    def extra_verdicts(
+        self, events: Sequence[dict], truth: Any
+    ) -> dict[str, float]:
+        """Verdicts read from an episode's recorded events, beyond the
+        final output's; merged into the record after check_success's."""
+        return {}
 
     # Final-output production. When final_prompt returns None the task can
     # render the output deterministically from the state alone (crossword

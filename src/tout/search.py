@@ -324,48 +324,19 @@ def tout_dfs(
     )
 
 
-def run_io(
+def run_prompt(
     task: TaskSpec,
-    problem_input: str,
+    prompt: str,
     backend: Backend,
     config: SearchConfig,
     transcript: Optional[Transcript] = None,
     cache: Optional[ResponseCache] = None,
 ) -> SearchResult:
-    """Single direct answer, no intermediate reasoning."""
+    """One completion of a baseline prompt, a direct answer (io) or a
+    chain of thought (cot); the final answer line is kept."""
     if transcript is None:
         transcript = Transcript()
-    request = BackendRequest(
-        prompt=task.io_prompt(problem_input), temperature=config.t_max, n=1
-    )
-    text = cached_generate(cache, backend, request, transcript=transcript).completions[0]
-    answer = task.extract_final_answer(text)
-    output = answer if answer is not None else text.strip()
-    transcript.emit("final", output=output)
-    return SearchResult(
-        final_output=output,
-        best_state=None,
-        visited=0,
-        recorded_outputs=[(output, 0.0)],
-        store=None,
-        transcript=transcript,
-    )
-
-
-def run_cot(
-    task: TaskSpec,
-    problem_input: str,
-    backend: Backend,
-    config: SearchConfig,
-    transcript: Optional[Transcript] = None,
-    cache: Optional[ResponseCache] = None,
-) -> SearchResult:
-    """Single chain-of-thought completion; the final answer line is kept."""
-    if transcript is None:
-        transcript = Transcript()
-    request = BackendRequest(
-        prompt=task.cot_prompt(problem_input), temperature=config.t_max, n=1
-    )
+    request = BackendRequest(prompt=prompt, temperature=config.t_max, n=1)
     text = cached_generate(cache, backend, request, transcript=transcript).completions[0]
     answer = task.extract_final_answer(text)
     output = answer if answer is not None else text.strip()
@@ -437,9 +408,11 @@ def run_method(
             f"unknown method {method!r}, expected one of {', '.join(METHODS)}"
         )
     if method == "io":
-        return run_io(task, problem_input, backend, config, transcript, cache)
+        prompt = task.io_prompt(problem_input)
+        return run_prompt(task, prompt, backend, config, transcript, cache)
     if method == "cot":
-        return run_cot(task, problem_input, backend, config, transcript, cache)
+        prompt = task.cot_prompt(problem_input)
+        return run_prompt(task, prompt, backend, config, transcript, cache)
     if method == "cot_sc":
         return run_cot_sc(task, problem_input, backend, config, transcript, cache)
     if method.startswith("tot_"):

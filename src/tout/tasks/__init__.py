@@ -18,7 +18,6 @@ from .crosswords import (
     parse_crossword_puzzle,
     parse_puzzle_file,
     score_board,
-    track_best_state,
 )
 from .game24 import (
     Expression,
@@ -121,5 +120,4 @@ __all__ = [
     "parse_puzzle_file",
     "score_board",
     "solution_verdicts",
-    "track_best_state",
 ]

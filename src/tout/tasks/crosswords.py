@@ -14,9 +14,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
-from ..model import InvalidArgumentError, State, TaskSpec
+from ..model import InvalidArgumentError, State, TaskSpec, best_path_from_events
 
 SIZE = 5
 SLOTS = tuple(f"h{i}" for i in range(1, 6)) + tuple(f"v{i}" for i in range(1, 6))
@@ -216,28 +216,6 @@ def score_board(
     return letters, words, game
 
 
-def track_best_state(events: "list[dict] | tuple[dict, ...]") -> Board:
-    """Board of the highest-scoring evaluated state in a transcript.
-
-    The search may have moved on or dead-ended after that state; this
-    recovers the best board it ever saw. Ties keep the earlier state.
-    """
-    best_path: Optional[list[str]] = None
-    best_score: Optional[float] = None
-    for event in events:
-        if event.get("event") != "evaluate":
-            continue
-        score = event.get("score")
-        if score is None or "path" not in event:
-            continue
-        if best_score is None or score > best_score:
-            best_score = score
-            best_path = list(event["path"])
-    if best_path is None:
-        raise InvalidArgumentError("transcript contains no evaluated states")
-    return board_from_thoughts(tuple(best_path))
-
-
 @dataclass
 class CrosswordsTask(TaskSpec):
     """Fill ten slots; the rendered board is the answer."""
@@ -321,6 +299,19 @@ class CrosswordsTask(TaskSpec):
             "words": words / len(SLOTS),
             "game": float(game),
             "success": float(game),
+        }
+
+    def extra_verdicts(self, events: Sequence[dict], truth: Any) -> dict[str, float]:
+        """Scores of the best board the search evaluated, even when it moved
+        on or dead-ended after it."""
+        path = best_path_from_events(events)
+        if truth is None or path is None:
+            return {}
+        letters, words, game = score_board(board_from_thoughts(tuple(path)), truth)
+        return {
+            "letters_best": letters / (SIZE * SIZE),
+            "words_best": words / len(SLOTS),
+            "game_best": float(game),
         }
 
     def render_output(self, state: State) -> str:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 from .backends import (
@@ -100,18 +99,12 @@ def estimate_uncertainty(
     )
 
 
-def _passes(config: SearchConfig) -> list[tuple[list[float], int]]:
-    """(temperatures, first cache batch index) of each sampling pass.
-
-    LUQ on: one pass over the m-step schedule, plus a second at batch
-    offset m with config.two_pass. LUQ off: one draw at t_max.
-    """
+def _schedule(config: SearchConfig) -> list[float]:
+    """Temperatures of a state's value draws: the m-step schedule with LUQ
+    on, one draw at t_max with it off."""
     if not config.luq_enabled:
-        return [([config.t_max], 0)]
-    schedule = temperature_schedule(config.m, config.t_min, config.t_max)
-    if config.two_pass:
-        return [(schedule, 0), (schedule, len(schedule))]
-    return [(schedule, 0)]
+        return [config.t_max]
+    return temperature_schedule(config.m, config.t_min, config.t_max)
 
 
 def value_draws(
@@ -126,9 +119,8 @@ def value_draws(
     """
     prompt = task.value_prompt(state)
     return [
-        (BackendRequest(prompt=prompt, temperature=t, n=1), offset + i)
-        for schedule, offset in _passes(config)
-        for i, t in enumerate(schedule)
+        (BackendRequest(prompt=prompt, temperature=t, n=1), i)
+        for i, t in enumerate(_schedule(config))
     ]
 
 
@@ -138,7 +130,6 @@ def sample_values(
     schedule: Sequence[float],
     responses: Iterator[BackendResponse],
     transcript: Optional[Transcript] = None,
-    batch_offset: int = 0,
 ) -> list[float]:
     """Parse the next len(schedule) responses of a stream issued for the
     state's value draws (see value_draws), one per scheduled temperature."""
@@ -151,7 +142,7 @@ def sample_values(
             transcript.emit(
                 "sample",
                 state_id=state.id,
-                index=batch_offset + i,
+                index=i,
                 temperature=temp,
                 completion=completion,
                 value=value,
@@ -170,39 +161,30 @@ def evaluate_state(
 ) -> ScoredState:
     """Produce the (value, uncertainty, score) triple that drives search.
 
-    Default is single-pass: the m draws feed both the value mean and the
-    variance. With config.two_pass a second m-draw pass is made and the
-    variance is computed over that pass alone, at twice the call cost.
-    With LUQ off, one draw at t_max stands in for the value and the
-    uncertainty is pinned to zero. With guidance off, the score is the
-    bare value rather than the confidence ratio. ``responses``, when
-    given, is a stream issued for value_draws(task, state, config),
-    possibly as part of a larger batch; otherwise the state's draws go out
-    as a cached_generate_many batch of their own, independent requests
-    that a backend wider than one request has in flight together.
+    The m draws feed both the value (their mean) and the uncertainty
+    (their variance). With LUQ off, one draw at t_max stands in for the
+    value and the uncertainty is pinned to zero. With guidance off, the
+    score is the bare value rather than the confidence ratio.
+    ``responses``, when given, is a stream issued for
+    value_draws(task, state, config), possibly as part of a larger batch;
+    otherwise the state's draws go out as a cached_generate_many batch of
+    their own, independent requests that a backend wider than one request
+    has in flight together.
     """
-    passes = _passes(config)
+    schedule = _schedule(config)
     stream = responses
     if stream is None:
         draws = value_draws(task, state, config)
         stream = cached_generate_many(cache, backend, draws, transcript)
     try:
-        batches = [
-            sample_values(task, state, schedule, stream, transcript, offset)
-            for schedule, offset in passes
-        ]
+        samples = sample_values(task, state, schedule, stream, transcript)
     finally:
         if responses is None:
             stream.close()
-    first = batches[0]
-    samples = tuple(chain.from_iterable(batches))
-    temperatures = tuple(chain.from_iterable(schedule for schedule, _ in passes))
-    if not config.luq_enabled:
-        value = first[0]
-        uncertainty = 0.0
+    if config.luq_enabled:
+        value, uncertainty = aggregate_value(samples), variance(samples)
     else:
-        value = aggregate_value(first)
-        uncertainty = variance(batches[-1])  # two_pass: the second pass alone
+        value, uncertainty = samples[0], 0.0
 
     if config.ugs_enabled:
         score = confidence_score(value, uncertainty, config.epsilon)
@@ -218,14 +200,14 @@ def evaluate_state(
             value=value,
             uncertainty=uncertainty,
             score=score,
-            samples=list(samples),
-            temperatures=list(temperatures),
+            samples=samples,
+            temperatures=schedule,
         )
     return ScoredState(
         state=state,
         value=value,
         uncertainty=uncertainty,
         score=score,
-        samples=samples,
-        temperatures=temperatures,
+        samples=tuple(samples),
+        temperatures=tuple(schedule),
     )

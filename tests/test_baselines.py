@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 from tout import InvalidArgumentError, SearchConfig, Transcript, run_method
-from tout.search import run_cot, run_cot_sc, run_io
+from tout.search import run_cot_sc
 from tout.tasks import make_task
 from tout.tasks.synthetic import SyntheticTreeTask
 
@@ -25,7 +25,7 @@ class TestIO:
         config = SearchConfig()
         script = EpisodeScript(task=task, config=config)
         script.io("4 9 10 13", "Answer: (13-9)*(10-4)")
-        result = run_io(task, "4 9 10 13", script.backend(), config)
+        result = run_method("io", task, "4 9 10 13", script.backend(), config)
         assert result.final_output == "(13-9)*(10-4)"
         assert result.best_state is None
         assert result.visited == 0
@@ -36,7 +36,7 @@ class TestIO:
         config = SearchConfig()
         script = EpisodeScript(task=task, config=config)
         script.io("4 9 10 13", "  I cannot solve this  ")
-        result = run_io(task, "4 9 10 13", script.backend(), config)
+        result = run_method("io", task, "4 9 10 13", script.backend(), config)
         assert result.final_output == "I cannot solve this"
 
     def test_final_event_emitted(self):
@@ -45,7 +45,7 @@ class TestIO:
         script = EpisodeScript(task=task, config=config)
         script.io("4 9 10 13", "Answer: 4*9-10-13")
         transcript = Transcript()
-        run_io(task, "4 9 10 13", script.backend(), config, transcript)
+        run_method("io", task, "4 9 10 13", script.backend(), config, transcript)
         assert [e["event"] for e in transcript.record_events()] == ["final"]
 
 
@@ -58,7 +58,7 @@ class TestCoT:
             "4 9 10 13",
             "13-9=4\n10-4=6\nAnswer: wrong draft\nAnswer: (13-9)*(10-4)",
         )
-        result = run_cot(task, "4 9 10 13", script.backend(), config)
+        result = run_method("cot", task, "4 9 10 13", script.backend(), config)
         assert result.final_output == "(13-9)*(10-4)"
 
     def test_equals_24_tail_stripped(self):
@@ -66,7 +66,7 @@ class TestCoT:
         config = SearchConfig()
         script = EpisodeScript(task=task, config=config)
         script.cot("4 9 10 13", "Answer: (13-9)*(10-4) = 24")
-        result = run_cot(task, "4 9 10 13", script.backend(), config)
+        result = run_method("cot", task, "4 9 10 13", script.backend(), config)
         assert result.final_output == "(13-9)*(10-4)"
 
 
@@ -102,7 +102,7 @@ class TestCoTSC:
         script = EpisodeScript(task=task, config=config)
         script.cot("4 9 10 13", ["Answer: (13-9)*(10-4)"])
         sc = run_cot_sc(task, "4 9 10 13", script.backend(), config)
-        cot = run_cot(task, "4 9 10 13", script.backend(), config)
+        cot = run_method("cot", task, "4 9 10 13", script.backend(), config)
         assert sc.final_output == cot.final_output
 
     def test_vote_note_recorded(self):

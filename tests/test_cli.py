@@ -71,7 +71,7 @@ class TestConfigFile:
 
     def test_cli_flag_beats_ini_beats_default(self, tmp_path):
         ini = configparser.ConfigParser()
-        ini.read_string("[search]\nm = 4\nk = 3\nsteps = 2\nluq = false\n")
+        ini.read_string("[search]\nm = 4\nk = 3\nsteps = 2\n")
         args = argparse.Namespace(m=2)
         values = build_search_values(args, ini)
         assert values["m"] == 2
@@ -82,16 +82,41 @@ class TestConfigFile:
     def test_ini_types_parsed_per_field(self):
         ini = configparser.ConfigParser()
         ini.read_string(
-            "[search]\nluq_enabled = false\ntwo_pass = true\nepsilon = 0.5\nb = 2\n"
+            "[search]\nluq_enabled = false\nugs_enabled = true\nepsilon = 0.5\nb = 2\n"
         )
         values = build_search_values(argparse.Namespace(), ini)
         assert values["luq_enabled"] is False
-        assert values["two_pass"] is True
+        assert values["ugs_enabled"] is True
         assert values["epsilon"] == 0.5
         assert values["b"] == 2
 
     def test_nothing_set_means_empty(self):
         assert build_search_values(argparse.Namespace(), None) == {}
+
+    @pytest.mark.parametrize("section, key", [
+        ("search", "luq"),  # misspelled luq_enabled
+        ("search", "two_pass"),  # an option that no longer exists
+        ("search", "t"),  # the depth is steps, as on the command line
+        ("search", "seed"),  # a run option
+        ("run", "m"),  # a search option
+        ("run", "epsiodes"),
+    ])
+    def test_unknown_key_is_rejected(self, tmp_path, capsys, section, key):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{key} = 1\n")
+        assert main(synthetic_argv("--config", str(path))) == 2
+        assert f"unknown key {key!r} in [{section}]" in capsys.readouterr().err
+
+    def test_run_and_search_flags_are_keys(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text(
+            "[run]\ntask = synthetic\nseed = 1\ncache_dir = c\nm_values = 1\n"
+            "[search]\nsteps = 2\nt_min = 0.1\nluq_enabled = true\neval_workers = 2\n"
+        )
+        with pytest.raises(InvalidArgumentError, match="'m_values' in \\[run\\]"):
+            load_ini(str(path))  # sweep-m's own flag is not a [run] key
+        path.write_text(path.read_text().replace("m_values = 1\n", ""))
+        assert load_ini(str(path)) is not None
 
 
 class TestScriptFile:
@@ -254,6 +279,25 @@ class TestRunErrors:
         ]
         assert main(argv) == 2
         assert "no problems selected" in capsys.readouterr().err
+
+    def test_synthetic_start_rejected(self, tmp_path, capsys):
+        # synthetic episodes are numbered from 0 whatever the offset, so a
+        # second run with --start would resume the first one's episodes
+        records = tmp_path / "episodes.jsonl"
+        assert main(synthetic_argv("--records", str(records))) == 0
+        assert main(synthetic_argv("--records", str(records), "--start", "2")) == 2
+        assert "--start must be 0" in capsys.readouterr().err
+        assert len(records.read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("task, episodes", [("synthetic", "0"), ("game24", "-1")])
+    def test_episodes_must_be_positive(self, tmp_path, capsys, task, episodes):
+        dataset = write_game24_csv(tmp_path, [(1, "4 9 10 13"), (2, "3 3 8 8")])
+        argv = ["run", "--task", task, "--dataset", str(dataset),
+                "--episodes", episodes]
+        if task == "game24":
+            argv += ["--backend", "scripted", "--script", "unused"]
+        assert main(argv) == 2
+        assert "episodes must be positive" in capsys.readouterr().err
 
     def test_scripted_backend_needs_script(self, tmp_path, capsys):
         dataset = write_game24_csv(tmp_path, [(1, "4 9 10 13")])

@@ -22,7 +22,6 @@ from tout.tasks.crosswords import (
     parse_thought,
     score_board,
     slot_cells,
-    track_best_state,
 )
 
 from helpers import make_state
@@ -190,36 +189,6 @@ class TestScoring:
                 board = board.place(SLOTS[i], ANSWERS[i])
             boards.append(board)
         assert boards[0] == boards[1]
-
-
-def evaluate_event(path, score):
-    return {"event": "evaluate", "state_id": 0, "path": list(path), "score": score}
-
-
-class TestTrackBestState:
-    def test_picks_argmax_score(self):
-        events = [
-            evaluate_event(["h1. HEART"], 3.0),
-            evaluate_event(["h1. HEART", "h2. EMBER"], 7.0),
-            evaluate_event(["h1. ABUSE"], 5.0),
-            {"event": "select", "state_id": 2},
-        ]
-        board = track_best_state(events)
-        assert board.word_at("h1") == "HEART"
-        assert board.word_at("h2") == "EMBER"
-
-    def test_tie_keeps_earliest(self):
-        events = [
-            evaluate_event(["h1. HEART"], 4.0),
-            evaluate_event(["h1. ABUSE"], 4.0),
-        ]
-        assert track_best_state(events).word_at("h1") == "HEART"
-
-    def test_no_evaluations_is_an_error(self):
-        with pytest.raises(InvalidArgumentError):
-            track_best_state([])
-        with pytest.raises(InvalidArgumentError):
-            track_best_state([{"event": "select", "state_id": 0}])
 
 
 class TestPuzzleFile:

@@ -23,9 +23,7 @@ from tout.harness import (
     RESULT_COLUMNS,
     ResultRow,
     RunAbortedError,
-    RunConfig,
     ablation_label,
-    best_path_from_events,
     config_digest,
     default_run_id,
     emit_results,
@@ -38,7 +36,13 @@ from tout.harness import (
     synthetic_setup,
     two_proportion_z,
 )
-from tout.model import InvalidArgumentError, RunRecord, SearchConfig
+from tout.cli import main
+from tout.model import (
+    InvalidArgumentError,
+    RunRecord,
+    SearchConfig,
+    best_path_from_events,
+)
 from tout.tasks import Problem, make_task
 from tout.tasks.synthetic import build_trap_benchmark
 
@@ -432,28 +436,51 @@ class TestCrosswordBestMetrics:
 
 
 class TestRunConfig:
-    def test_valid_config(self):
-        RunConfig(task="synthetic", method="tout_bfs", backend="synthetic").validate()
+    """A run's options are checked where they arrive: task, backend,
+    start and episodes in the command line's set-up, method, jobs and the
+    search settings where the run uses them. Each case is an INI [run]
+    section on top of a valid scripted game24 run."""
+
+    def run_main(self, tmp_path, run_options, search_options=None):
+        dataset = tmp_path / "puzzles.csv"
+        dataset.write_text("rank,puzzle\n1,4 9 10 13\n", encoding="utf-8")
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"__default__": ""}), encoding="utf-8")
+        run = {"dataset": dataset, "backend": "scripted", "script": script,
+               "episodes": 1, **run_options}
+        lines = ["[run]"] + [f"{key} = {value}" for key, value in run.items()]
+        lines.append("[search]")
+        lines += [f"{key} = {value}" for key, value in (search_options or {}).items()]
+        path = tmp_path / "run.ini"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return main(["run", "--config", str(path)])
+
+    def test_valid_config(self, tmp_path, capsys):
+        assert self.run_main(tmp_path, {"task": "game24", "method": "io"}) == 0
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, error",
         [
-            {"task": "sudoku", "method": "tout_bfs"},
-            {"task": "game24", "method": "magic"},
-            {"task": "game24", "method": "io", "backend": "carrier-pigeon"},
-            {"task": "game24", "method": "io", "backend": "synthetic"},
-            {"task": "synthetic", "method": "io", "backend": "http"},
-            {"task": "game24", "method": "io", "start": -1},
-            {"task": "game24", "method": "io", "episodes": 0},
-            {"task": "game24", "method": "io", "jobs": 0},
+            ({"task": "sudoku", "method": "tout_bfs"}, "unknown task 'sudoku'"),
+            ({"task": "game24", "method": "magic"}, "unknown method 'magic'"),
+            ({"task": "game24", "method": "io", "backend": "carrier-pigeon"},
+             "unknown backend 'carrier-pigeon'"),
+            ({"task": "game24", "method": "io", "backend": "synthetic"},
+             "only answers the synthetic task"),
+            ({"task": "synthetic", "method": "io", "backend": "http"},
+             "the synthetic task needs backend=synthetic"),
+            ({"task": "game24", "method": "io", "start": -1}, "start must be >= 0"),
+            ({"task": "game24", "method": "io", "episodes": 0},
+             "episodes must be positive"),
+            ({"task": "game24", "method": "io", "jobs": 0}, "jobs must be >= 1"),
         ],
+        ids=[f"kwargs{i}" for i in range(8)],
     )
-    def test_invalid_configs(self, kwargs):
-        with pytest.raises(InvalidArgumentError):
-            RunConfig(**kwargs).validate()
+    def test_invalid_configs(self, tmp_path, capsys, kwargs, error):
+        assert self.run_main(tmp_path, kwargs) == 2
+        assert error in capsys.readouterr().err
 
-    def test_search_config_validated_too(self):
-        config = RunConfig(task="game24", method="io",
-                           search=SearchConfig(k=0))
-        with pytest.raises(InvalidArgumentError):
-            config.validate()
+    def test_search_config_validated_too(self, tmp_path, capsys):
+        options = {"task": "game24", "method": "io"}
+        assert self.run_main(tmp_path, options, {"k": 0}) == 2
+        assert "must be positive" in capsys.readouterr().err

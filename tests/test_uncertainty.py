@@ -242,22 +242,6 @@ class TestEvaluateState:
         assert scored.score == scored.value
         assert scored.uncertainty > 0.0
 
-    def test_two_pass_value_from_first_variance_from_second(self):
-        config = SearchConfig(m=2, t_min=0.2, t_max=1.0, two_pass=True)
-        task = make_task("game24")
-        state = make_state("4 5 6 10", ("10-4=6 (left: 5 6 6)",))
-        script = EpisodeScript(task=task, config=config)
-        # first pass consumes batch indices 0..m-1, second m..2m-1, but
-        # the scripted key depends on temperature and in-request index
-        # only, so both passes replay the same completions
-        script.value(state, ["sure", "impossible"])
-        scored = evaluate_state(task, state, script.backend(), config)
-        first = [20.0, 0.001]
-        assert abs(scored.value - aggregate_value(first)) <= EXACT
-        assert abs(scored.uncertainty - population_variance(first)) <= EXACT
-        assert len(scored.samples) == 4
-        assert scored.temperatures == (0.2, 1.0, 0.2, 1.0)
-
 
 class _KeyedSlowBackend(Backend):
     """Answers the synthetic line protocol from the request alone.
@@ -383,13 +367,13 @@ class TestConcurrentDraws:
     @pytest.mark.parametrize("method, options", [
         ("tout_bfs", {}),
         ("tout_dfs", {}),
-        ("tout_bfs", {"two_pass": True}),
+        ("tout_bfs", {"m": 4}),  # one state's draws fill the pool
         ("tout_bfs", {"luq_enabled": False}),
     ])
     def test_draws_of_sibling_states_overlap(self, tmp_path, method, options):
         bench = build_trap_benchmark(depth=2)
         task, problems, _ = synthetic_setup(bench, episodes=3)
-        config = SearchConfig(k=3, b=2, T=2, m=2, **options)
+        config = replace(SearchConfig(k=3, b=2, T=2, m=2), **options)
         per_state = len(value_draws(task, StateStore().root("root"), config))
         outcomes = []
         switch = sys.getswitchinterval()
