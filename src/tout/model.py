@@ -320,9 +320,7 @@ class TaskSpec:
     def check_success(self, output: str, truth: Any) -> dict[str, float]:
         raise NotImplementedError
 
-    def extra_verdicts(
-        self, events: Sequence[dict], truth: Any
-    ) -> dict[str, float]:
+    def extra_verdicts(self, events: Sequence[dict], truth: Any) -> dict[str, float]:
         """Verdicts read from an episode's recorded events, beyond the
         final output's; merged into the record after check_success's."""
         return {}

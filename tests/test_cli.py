@@ -289,16 +289,6 @@ class TestRunErrors:
         assert "--start must be 0" in capsys.readouterr().err
         assert len(records.read_text().splitlines()) == 2
 
-    @pytest.mark.parametrize("task, episodes", [("synthetic", "0"), ("game24", "-1")])
-    def test_episodes_must_be_positive(self, tmp_path, capsys, task, episodes):
-        dataset = write_game24_csv(tmp_path, [(1, "4 9 10 13"), (2, "3 3 8 8")])
-        argv = ["run", "--task", task, "--dataset", str(dataset),
-                "--episodes", episodes]
-        if task == "game24":
-            argv += ["--backend", "scripted", "--script", "unused"]
-        assert main(argv) == 2
-        assert "episodes must be positive" in capsys.readouterr().err
-
     def test_scripted_backend_needs_script(self, tmp_path, capsys):
         dataset = write_game24_csv(tmp_path, [(1, "4 9 10 13")])
         argv = ["run", "--task", "game24", "--dataset", str(dataset),

@@ -473,8 +473,12 @@ class TestRunConfig:
             ({"task": "game24", "method": "io", "episodes": 0},
              "episodes must be positive"),
             ({"task": "game24", "method": "io", "jobs": 0}, "jobs must be >= 1"),
+            ({"task": "game24", "method": "io", "episodes": -1},
+             "episodes must be positive"),
+            ({"task": "synthetic", "backend": "synthetic", "episodes": 0},
+             "episodes must be positive"),
         ],
-        ids=[f"kwargs{i}" for i in range(8)],
+        ids=[f"kwargs{i}" for i in range(10)],
     )
     def test_invalid_configs(self, tmp_path, capsys, kwargs, error):
         assert self.run_main(tmp_path, kwargs) == 2
@@ -483,4 +487,4 @@ class TestRunConfig:
     def test_search_config_validated_too(self, tmp_path, capsys):
         options = {"task": "game24", "method": "io"}
         assert self.run_main(tmp_path, options, {"k": 0}) == 2
-        assert "must be positive" in capsys.readouterr().err
+        assert "k, b, T and m must be positive" in capsys.readouterr().err
