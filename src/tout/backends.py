@@ -28,6 +28,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Optional, Sequence
+from urllib.parse import unquote, urlsplit
 
 import numpy as np
 
@@ -166,15 +167,26 @@ class HttpBackend(Backend):
 
     Batches n completions into a single request when the provider honors n;
     shortfalls are re-requested sequentially and, failing that, padded with
-    empty text (the shortfall is logged). Transient failures, including a
-    200 whose body is not a JSON object, retry with exponential backoff
-    before raising BackendUnavailableError with the last HTTP status; a 429
-    whose Retry-After gives seconds waits at least that long, unless it asks
-    for more than ``backoff_s * 2**max_retries``, which fails at once.
+    empty text (logged, and counted in ``padded``). Transient failures,
+    including a 200 whose body is not a JSON object, retry with exponential
+    backoff before raising BackendUnavailableError with the last HTTP
+    status; a 429 whose Retry-After gives seconds waits at least that long,
+    unless it asks for more than ``backoff_s * 2**max_retries``, which fails
+    at once.
+
+    Requests go over the standard library's http.client: each thread keeps
+    one keep-alive connection to the endpoint, opened on its first request
+    (HTTPS for an ``https`` base URL). A connection that fails is closed and
+    dropped; a kept-alive one that the server closed while idle is reopened
+    once at once, without a retry or a backoff. When the environment names a
+    proxy for the base URL's scheme and the host is not bypassed
+    (``no_proxy``), the connection is a CONNECT tunnel through that proxy.
 
     At most ``max_in_flight`` requests are on the wire at once across all
     threads. ``executor()`` is a pool of that width, shared by every caller,
-    for issuing independent requests concurrently; ``close()`` shuts it down.
+    for issuing independent requests concurrently; ``close()`` shuts it down
+    and closes every connection, and the backend reopens what it needs if
+    used again.
     """
 
     def __init__(
@@ -198,13 +210,26 @@ class HttpBackend(Backend):
             raise InvalidArgumentError(f"no model name: pass model or set {ENV_MODEL}")
         if max_in_flight < 1:
             raise InvalidArgumentError("max_in_flight must be >= 1")
+        self._url = urlsplit(self.base_url)
+        try:
+            self._url.port  # raises unless absent or a number in range
+        except ValueError as exc:
+            raise InvalidArgumentError(f"API base URL {self.base_url}: {exc}") from None
+        if self._url.scheme not in ("http", "https") or not self._url.hostname:
+            raise InvalidArgumentError(
+                f"API base URL must be http:// or https:// with a host: {self.base_url}"
+            )
+        self._path = self._url.path + "/v1/chat/completions"
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         self.timeout_s = timeout_s
         self.max_in_flight = max_in_flight
+        self.padded = 0  # empty completions padded in for a provider's shortfall
         self._gate = threading.Semaphore(max_in_flight)
         self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
+        self._pool_lock = threading.Lock()  # guards _pool, _connections, padded
+        self._connections: set = set()
+        self._local = threading.local()
         self.backend_id = f"http:{self.base_url}:{self.model}"
 
     def executor(self) -> ThreadPoolExecutor:
@@ -221,11 +246,70 @@ class HttpBackend(Backend):
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
+        with self._pool_lock:
+            connections, self._connections = self._connections, set()
+        for conn in connections:
+            conn.close()
+
+    def _new_connection(self):
+        """A connection to the endpoint, or a tunnel through the proxy the
+        environment names for it; no socket is opened until the first request."""
+        import base64
+        import http.client
+        import urllib.request
+
+        url = self._url
+        kind = (
+            http.client.HTTPSConnection
+            if url.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if not proxy or urllib.request.proxy_bypass(url.hostname):
+            return kind(url.hostname, url.port, timeout=self.timeout_s)
+        via = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+        conn = kind(via.hostname, via.port or 80, timeout=self.timeout_s)
+        headers = {}
+        if via.username:
+            credentials = f"{unquote(via.username)}:{unquote(via.password or '')}"
+            token = base64.b64encode(credentials.encode("utf-8")).decode("ascii")
+            headers["Proxy-Authorization"] = f"Basic {token}"
+        conn.set_tunnel(url.hostname, url.port, headers=headers)
+        return conn
+
+    def _connection(self):
+        """This thread's connection, made anew after a failure or close()."""
+        conn = getattr(self._local, "conn", None)
+        with self._pool_lock:
+            if conn not in self._connections:
+                conn = self._local.conn = self._new_connection()
+                self._connections.add(conn)
+        return conn
+
+    def _exchange(self, data: bytes, headers: dict[str, str]):
+        """One POST on this thread's connection: (status, headers, body)."""
+        while True:
+            conn = self._connection()
+            reused = conn.sock is not None  # kept alive from an earlier request
+            try:
+                conn.request("POST", self._path, body=data, headers=headers)
+                resp = conn.getresponse()
+                return resp.status, resp.headers, resp.read()
+            except BaseException as exc:
+                conn.close()
+                with self._pool_lock:
+                    self._connections.discard(conn)
+                # http.client's RemoteDisconnected is a ConnectionResetError:
+                # a server may close a keep-alive connection while it idles.
+                stale = isinstance(exc, (BrokenPipeError, ConnectionResetError))
+                if not (reused and stale):
+                    raise
 
     def _post(self, body: dict[str, Any]) -> dict[str, Any]:
-        import requests
+        import http.client
 
         url = self.base_url + "/v1/chat/completions"
+        data = json.dumps(body).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -247,30 +331,29 @@ class HttpBackend(Backend):
             retry_after = 0.0
             try:
                 with self._gate:
-                    resp = requests.post(
-                        url, json=body, headers=headers, timeout=self.timeout_s
-                    )
-            except requests.RequestException as exc:
+                    status, resp_headers, raw = self._exchange(data, headers)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = repr(exc)
                 continue
-            last_status = resp.status_code
-            if resp.status_code == 200:
+            last_status = status
+            text = raw.decode("utf-8", "replace")
+            if status == 200:
                 try:
-                    payload = resp.json()
-                except ValueError:  # requests' JSONDecodeError included
+                    payload = json.loads(text)
+                except ValueError:
                     payload = None
                 if isinstance(payload, dict):
                     return payload
-                last_error = f"HTTP 200 without a JSON object: {resp.text[:200]}"
+                last_error = f"HTTP 200 without a JSON object: {text[:200]}"
                 continue
-            last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
-            if resp.status_code == 429:
-                retry_after = _retry_after_s(resp.headers.get("Retry-After"))
+            last_error = f"HTTP {status}: {text[:200]}"
+            if status == 429:
+                retry_after = _retry_after_s(resp_headers.get("Retry-After"))
                 if retry_after > self.backoff_s * 2**self.max_retries:
                     # a quota that far off: sleeping on it would stall the run
                     last_error += f" (Retry-After {retry_after:g}s)"
                     break
-            elif 400 <= resp.status_code < 500:
+            elif 400 <= status < 500:
                 break  # client errors won't heal on retry
         raise BackendUnavailableError(
             f"endpoint unavailable after {self.max_retries} retries: {last_error}",
@@ -298,11 +381,11 @@ class HttpBackend(Backend):
             if extra:
                 completions.append(extra[0])
             else:
-                log.warning(
-                    "padding %d missing completions with empty text",
-                    request.n - len(completions),
-                )
-                completions.extend([""] * (request.n - len(completions)))
+                missing = request.n - len(completions)
+                log.warning("padding %d missing completions with empty text", missing)
+                with self._pool_lock:
+                    self.padded += missing
+                completions.extend([""] * missing)
         return BackendResponse(completions=tuple(completions), usage=usage)
 
 

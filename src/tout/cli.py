@@ -140,14 +140,21 @@ def _ini_keys() -> dict[str, set[str]]:
 
 
 def load_ini(path: Optional[str]) -> Optional[configparser.ConfigParser]:
-    """The INI file at path; a key its section does not take is an error."""
+    """The INI file at path; a section other than [run] and [search], or a
+    key its section does not take, is an error."""
     if path is None:
         return None
     ini = configparser.ConfigParser()
     read = ini.read(path)
     if not read:
         raise InvalidArgumentError(f"config file not found: {path}")
-    for section, keys in _ini_keys().items():
+    sections = _ini_keys()
+    for section in ini.sections():
+        if section not in sections:
+            raise InvalidArgumentError(
+                f"{path}: unknown section [{section}], expected run or search"
+            )
+    for section, keys in sections.items():
         if ini.has_section(section):
             for key in ini.options(section):
                 if key not in keys:

@@ -1,15 +1,23 @@
 """Backend plumbing: HTTP client behavior, scripted replay, the noisy
 oracle, and the response cache.
 
-The HTTP tests monkeypatch requests.post with a canned sequence of
-responses, so retry and shortfall behavior is exercised without a network.
+The HTTP tests run HttpBackend against a loopback server that replays a
+canned sequence of responses, so retry, shortfall and connection behavior
+is exercised without a network.
 """
 
 from __future__ import annotations
 
+import base64
+import http.client
+import json
 import logging
+import select
 import shutil
-from dataclasses import dataclass, field
+import socket
+import socketserver
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -145,180 +153,268 @@ class TestScriptedBackend:
         assert response.completions == ("first", "second", "pad")
 
 
-@dataclass
-class _FakeResponse:
-    status_code: int
-    payload: dict
-    headers: dict = field(default_factory=dict)
-
-    @property
-    def text(self):
-        return str(self.payload)
-
-    def json(self):
-        return self.payload
-
-
-class _NotJsonResponse(_FakeResponse):
-    """A 200 whose body is not JSON, as from a proxy's error page."""
-
-    def json(self):
-        import requests
-
-        raise requests.JSONDecodeError("Expecting value", str(self.payload), 0)
+_PROXY_VARIABLES = (
+    "http_proxy", "https_proxy", "all_proxy", "no_proxy",
+    "HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY",
+)
 
 
 def _choices(*texts):
-    return {"choices": [{"message": {"content": t}} for t in texts]}
+    return 200, {}, json.dumps({"choices": [{"message": {"content": t}} for t in texts]})
 
 
-class _PostLog:
-    """Replaces requests.post; pops canned responses in order."""
+def _status(code, headers=None, body="{}"):
+    return code, headers or {}, body
 
-    def __init__(self, responses):
-        self.responses = list(responses)
+
+class _EndpointHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive
+    disable_nagle_algorithm = True  # headers and body go out in two sends
+
+    def setup(self):
+        super().setup()
+        self.server.endpoint.sockets.append(self.connection)
+
+    def do_POST(self):
+        endpoint = self.server.endpoint
+        raw = self.rfile.read(int(self.headers["Content-Length"]))
+        endpoint.calls.append(
+            {
+                "path": self.path,
+                "body": json.loads(raw),
+                "headers": dict(self.headers),
+                "peer": self.client_address,
+            }
+        )
+        if endpoint.responses:
+            status, headers, body = endpoint.responses.pop(0)
+        else:
+            endpoint.unexpected += 1
+            status, headers, body = 500, {}, "unexpected extra HTTP call"
+        data = body.encode("utf-8")
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+class _Endpoint:
+    """A loopback chat-completions server that answers with canned
+    (status, headers, body) responses in order and logs each request's
+    path, JSON body, headers and client address."""
+
+    def __init__(self):
+        self.responses = []
         self.calls = []
+        self.sockets = []  # server side of every connection accepted
+        self.unexpected = 0
+        self.backends = []
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), _EndpointHandler)
+        self.server.daemon_threads = True
+        self.server.endpoint = self
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, args=(0.05,), daemon=True
+        )
+        self.thread.start()
+        self.url = f"http://127.0.0.1:{self.server.server_port}"
 
-    def __call__(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "body": json, "headers": headers})
-        if not self.responses:
-            raise AssertionError("unexpected extra HTTP call")
-        return self.responses.pop(0)
+    def reply(self, *responses):
+        self.responses.extend(responses)
+
+    def client(self, **kwargs):
+        """An HttpBackend on this endpoint, closed when the test ends."""
+        defaults = dict(base_url=self.url, model="m1", backoff_s=0.0, max_retries=2)
+        defaults.update(kwargs)
+        backend = HttpBackend(**defaults)
+        self.backends.append(backend)
+        return backend
+
+    def drop_connections(self):
+        """Close every connection from the server's side, as a server
+        timing out idle keep-alive connections does."""
+        for sock in self.sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed
+
+    def close(self):
+        for backend in self.backends:
+            backend.close()
+        self.server.shutdown()
+        self.drop_connections()
+        self.server.server_close()
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
 
 
-def _http_backend(**kwargs):
-    defaults = dict(
-        base_url="http://fake.test", model="m1", backoff_s=0.0, max_retries=2
-    )
-    defaults.update(kwargs)
-    return HttpBackend(**defaults)
+@pytest.fixture
+def endpoint(monkeypatch):
+    for name in _PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    server = _Endpoint()
+    yield server
+    server.close()
+    assert server.unexpected == 0, "unexpected extra HTTP call"
+
+
+class _ConnectProxy(socketserver.BaseRequestHandler):
+    """Answers one CONNECT, logs its target and headers, then relays bytes."""
+
+    def handle(self):
+        head = b""
+        while b"\r\n\r\n" not in head:
+            chunk = self.request.recv(4096)
+            if not chunk:
+                return
+            head += chunk
+        request_line, *header_lines = head.split(b"\r\n\r\n")[0].decode().split("\r\n")
+        method, target, _ = request_line.split(" ")
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        self.server.tunnels.append((method, target, headers))
+        host, port = target.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=5) as upstream:
+            self.request.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+            peers = {self.request: upstream, upstream: self.request}
+            while True:
+                readable, _, _ = select.select(list(peers), [], [], 5)
+                if not readable:
+                    return
+                for sock in readable:
+                    data = sock.recv(65536)
+                    if not data:
+                        return
+                    peers[sock].sendall(data)
+
+
+@pytest.fixture
+def connect_proxy():
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _ConnectProxy)
+    server.daemon_threads = True
+    server.tunnels = []
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 class TestHttpBackend:
-    def test_success_single_call(self, monkeypatch):
-        post = _PostLog([_FakeResponse(200, _choices("hi"))])
-        monkeypatch.setattr("requests.post", post)
-        backend = _http_backend(api_key="sk-x")
+    def test_success_single_call(self, endpoint):
+        endpoint.reply(_choices("hi"))
+        backend = endpoint.client(api_key="sk-x")
         response = backend.generate(BackendRequest(prompt="p", temperature=0.5))
         assert response.completions == ("hi",)
-        assert len(post.calls) == 1
-        assert post.calls[0]["url"] == "http://fake.test/v1/chat/completions"
-        assert post.calls[0]["headers"]["Authorization"] == "Bearer sk-x"
+        assert len(endpoint.calls) == 1
+        assert endpoint.calls[0]["path"] == "/v1/chat/completions"
+        assert endpoint.calls[0]["headers"]["Authorization"] == "Bearer sk-x"
 
-    def test_retries_server_error_then_succeeds(self, monkeypatch):
-        post = _PostLog(
-            [
-                _FakeResponse(500, {"error": "boom"}),
-                _FakeResponse(200, _choices("recovered")),
-            ]
-        )
-        monkeypatch.setattr("requests.post", post)
-        response = _http_backend().generate(
+    def test_retries_server_error_then_succeeds(self, endpoint):
+        endpoint.reply(_status(500, body='{"error": "boom"}'), _choices("recovered"))
+        response = endpoint.client().generate(
             BackendRequest(prompt="p", temperature=0.5)
         )
         assert response.completions == ("recovered",)
-        assert len(post.calls) == 2
+        assert len(endpoint.calls) == 2
 
-    def test_client_error_does_not_retry(self, monkeypatch):
-        post = _PostLog([_FakeResponse(400, {"error": "bad request"})])
-        monkeypatch.setattr("requests.post", post)
+    def test_client_error_does_not_retry(self, endpoint):
+        endpoint.reply(_status(400, body='{"error": "bad request"}'))
         with pytest.raises(BackendUnavailableError) as err:
-            _http_backend().generate(BackendRequest(prompt="p", temperature=0.5))
-        assert len(post.calls) == 1
+            endpoint.client().generate(BackendRequest(prompt="p", temperature=0.5))
+        assert len(endpoint.calls) == 1
         assert err.value.last_status == 400
 
-    def test_rate_limit_is_retried(self, monkeypatch):
-        post = _PostLog([_FakeResponse(429, {})] * 3)
-        monkeypatch.setattr("requests.post", post)
+    def test_rate_limit_is_retried(self, endpoint):
+        endpoint.reply(*[_status(429)] * 3)
         with pytest.raises(BackendUnavailableError) as err:
-            _http_backend(max_retries=2).generate(
+            endpoint.client(max_retries=2).generate(
                 BackendRequest(prompt="p", temperature=0.5)
             )
-        assert len(post.calls) == 3  # initial + 2 retries
+        assert len(endpoint.calls) == 3  # initial + 2 retries
         assert err.value.last_status == 429
 
-    def test_retry_after_seconds_lengthen_the_backoff(self, monkeypatch):
-        limited = [
-            _FakeResponse(429, {}, {"Retry-After": "3"}),
-            _FakeResponse(429, {}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
-            _FakeResponse(429, {}, {"Retry-After": "0"}),
-            _FakeResponse(500, {}, {"Retry-After": "9"}),
-            _FakeResponse(200, _choices("ok")),
-        ]
-        monkeypatch.setattr("requests.post", _PostLog(limited))
+    def test_retry_after_seconds_lengthen_the_backoff(self, endpoint, monkeypatch):
+        endpoint.reply(
+            _status(429, {"Retry-After": "3"}),
+            _status(429, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+            _status(429, {"Retry-After": "0"}),
+            _status(500, {"Retry-After": "9"}),
+            _choices("ok"),
+        )
         delays = []
         monkeypatch.setattr("tout.backends.time.sleep", delays.append)
-        response = _http_backend(backoff_s=0.5, max_retries=4).generate(
+        response = endpoint.client(backoff_s=0.5, max_retries=4).generate(
             BackendRequest(prompt="p", temperature=0.5)
         )
         assert response.completions == ("ok",)
         # max(backoff, Retry-After) after a 429; other forms and codes: backoff
         assert delays == [3.0, 1.0, 2.0, 4.0]
 
-    def test_retry_after_beyond_the_retry_budget_fails_at_once(self, monkeypatch):
+    def test_retry_after_beyond_the_retry_budget_fails_at_once(
+        self, endpoint, monkeypatch
+    ):
         # the backoff ladder waits at most 0.5 * 2**4 = 8 s in all
-        post = _PostLog([_FakeResponse(429, {}, {"Retry-After": "3600"})])
-        monkeypatch.setattr("requests.post", post)
+        endpoint.reply(_status(429, {"Retry-After": "3600"}))
         delays = []
         monkeypatch.setattr("tout.backends.time.sleep", delays.append)
         with pytest.raises(BackendUnavailableError) as err:
-            _http_backend(backoff_s=0.5, max_retries=4).generate(
+            endpoint.client(backoff_s=0.5, max_retries=4).generate(
                 BackendRequest(prompt="p", temperature=0.5)
             )
         assert err.value.last_status == 429
         assert "Retry-After 3600s" in str(err.value)
-        assert len(post.calls) == 1 and delays == []
+        assert len(endpoint.calls) == 1 and delays == []
 
-    def test_shortfall_topped_up_one_at_a_time(self, monkeypatch):
-        post = _PostLog(
-            [
-                _FakeResponse(200, _choices("a")),  # provider ignored n=3
-                _FakeResponse(200, _choices("b")),
-                _FakeResponse(200, _choices("c")),
-            ]
+    def test_shortfall_topped_up_one_at_a_time(self, endpoint):
+        endpoint.reply(
+            _choices("a"),  # provider ignored n=3
+            _choices("b"),
+            _choices("c"),
         )
-        monkeypatch.setattr("requests.post", post)
-        response = _http_backend().generate(
-            BackendRequest(prompt="p", temperature=0.5, n=3)
-        )
+        backend = endpoint.client()
+        response = backend.generate(BackendRequest(prompt="p", temperature=0.5, n=3))
         assert response.completions == ("a", "b", "c")
-        assert [c["body"]["n"] for c in post.calls] == [3, 1, 1]
+        assert [c["body"]["n"] for c in endpoint.calls] == [3, 1, 1]
+        assert backend.padded == 0
+        # a top-up that fails pads the rest with empty text, and counts it
+        endpoint.reply(_choices("d"), _status(400))
+        response = backend.generate(BackendRequest(prompt="p", temperature=0.5, n=3))
+        assert response.completions == ("d", "", "")
+        assert [c["body"]["n"] for c in endpoint.calls[3:]] == [3, 1]
+        assert backend.padded == 2
 
-    def test_non_json_200_is_retried(self, monkeypatch):
-        post = _PostLog(
-            [
-                _NotJsonResponse(200, "<html>gateway busy</html>"),
-                _FakeResponse(200, _choices("recovered")),
-            ]
-        )
-        monkeypatch.setattr("requests.post", post)
-        response = _http_backend().generate(
+    def test_non_json_200_is_retried(self, endpoint):
+        endpoint.reply(_status(200, body="<html>gateway busy</html>"), _choices("recovered"))
+        response = endpoint.client().generate(
             BackendRequest(prompt="p", temperature=0.5)
         )
         assert response.completions == ("recovered",)
-        assert len(post.calls) == 2
+        assert len(endpoint.calls) == 2
 
-    def test_non_json_200_ends_in_backend_unavailable(self, monkeypatch):
-        post = _PostLog([_NotJsonResponse(200, "<html>gateway busy</html>")] * 3)
-        monkeypatch.setattr("requests.post", post)
+    def test_non_json_200_ends_in_backend_unavailable(self, endpoint):
+        endpoint.reply(*[_status(200, body="<html>gateway busy</html>")] * 3)
         with pytest.raises(BackendUnavailableError) as err:
-            _http_backend(max_retries=2).generate(
+            endpoint.client(max_retries=2).generate(
                 BackendRequest(prompt="p", temperature=0.5)
             )
-        assert len(post.calls) == 3
+        assert len(endpoint.calls) == 3
         assert err.value.last_status == 200
 
-    def test_executor_is_shared_and_as_wide_as_max_in_flight(self):
-        backend = _http_backend(max_in_flight=3)
-        try:
-            assert backend.max_in_flight == 3
-            pool = backend.executor()
-            assert pool is backend.executor()
-            assert pool._max_workers == 3
-        finally:
-            backend.close()
+    def test_executor_is_shared_and_as_wide_as_max_in_flight(self, endpoint):
+        backend = endpoint.client(max_in_flight=3)
+        pool = backend.executor()
+        assert pool is backend.executor()
+        assert pool._max_workers == 3
+        assert backend.max_in_flight == 3
         with pytest.raises(InvalidArgumentError):
-            _http_backend(max_in_flight=0)
+            endpoint.client(max_in_flight=0)
 
     def test_requires_base_url_and_model(self, monkeypatch):
         monkeypatch.delenv("TOUT_API_BASE", raising=False)
@@ -327,6 +423,88 @@ class TestHttpBackend:
             HttpBackend()
         with pytest.raises(InvalidArgumentError):
             HttpBackend(base_url="http://fake.test")
+        for bad in ("fake.test", "ftp://fake.test", "http://fake.test:port"):
+            with pytest.raises(InvalidArgumentError):
+                HttpBackend(base_url=bad, model="m1")
+
+
+class TestHttpTransport:
+    def test_calls_on_one_thread_share_a_connection(self, endpoint):
+        endpoint.reply(*[_choices("x")] * 5)
+        backend = endpoint.client()
+        for _ in range(5):
+            backend.generate(BackendRequest(prompt="p", temperature=0.5))
+        assert len(endpoint.calls) == 5
+        assert len(endpoint.sockets) == 1
+        assert len({c["peer"] for c in endpoint.calls}) == 1
+
+    def test_connection_closed_while_idle_is_reopened_at_once(
+        self, endpoint, monkeypatch, caplog
+    ):
+        endpoint.reply(_choices("first"), _choices("second"))
+        backend = endpoint.client(backoff_s=1.0)
+        delays = []
+        monkeypatch.setattr("tout.backends.time.sleep", delays.append)
+        backend.generate(BackendRequest(prompt="p", temperature=0.5))
+        endpoint.drop_connections()
+        with caplog.at_level(logging.WARNING, logger="tout.backends"):
+            response = backend.generate(BackendRequest(prompt="p", temperature=0.5))
+        assert response.completions == ("second",)
+        assert delays == []
+        assert "retrying" not in caplog.text
+        assert len(endpoint.calls) == 2
+        assert len(endpoint.sockets) == 2
+
+    def test_base_url_path_is_kept(self, endpoint):
+        endpoint.reply(_choices("hi"))
+        backend = endpoint.client(base_url=endpoint.url + "/prefix/")
+        backend.generate(BackendRequest(prompt="p", temperature=0.5))
+        assert endpoint.calls[0]["path"] == "/prefix/v1/chat/completions"
+
+    def test_connection_class_follows_the_scheme(self, monkeypatch):
+        for name in _PROXY_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        for scheme, kind in [
+            ("https", http.client.HTTPSConnection),
+            ("http", http.client.HTTPConnection),
+        ]:
+            backend = HttpBackend(base_url=f"{scheme}://api.example.test", model="m1")
+            try:
+                conn = backend._connection()  # made, not yet connected
+                assert type(conn) is kind
+                assert conn.sock is None
+            finally:
+                backend.close()
+
+    def test_close_closes_every_connection_and_the_backend_still_works(
+        self, endpoint
+    ):
+        endpoint.reply(*[_choices("x")] * 3)
+        backend = endpoint.client(max_in_flight=2)
+        request = BackendRequest(prompt="p", temperature=0.5)
+        backend.generate(request)
+        backend.executor().submit(backend.generate, request).result(timeout=5)
+        opened = list(backend._connections)
+        assert len(opened) == 2  # this thread's and a pool thread's
+        backend.close()
+        assert all(conn.sock is None for conn in opened)
+        assert not backend._connections
+        assert backend.generate(request).completions == ("x",)
+        assert len(endpoint.sockets) == 3
+
+    def test_proxy_from_the_environment(self, endpoint, connect_proxy, monkeypatch):
+        port = connect_proxy.server_address[1]
+        monkeypatch.setenv("http_proxy", f"http://us%40r:pw@127.0.0.1:{port}")
+        endpoint.reply(_choices("tunnelled"), _choices("direct"))
+        request = BackendRequest(prompt="p", temperature=0.5)
+        assert endpoint.client().generate(request).completions == ("tunnelled",)
+        ((method, target, headers),) = connect_proxy.tunnels
+        assert (method, target) == ("CONNECT", endpoint.url[len("http://"):])
+        token = base64.b64encode(b"us@r:pw").decode("ascii")
+        assert headers["Proxy-Authorization"] == f"Basic {token}"
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        assert endpoint.client().generate(request).completions == ("direct",)
+        assert len(connect_proxy.tunnels) == 1
 
 
 class TestSyntheticOracle:

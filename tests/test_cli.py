@@ -107,6 +107,13 @@ class TestConfigFile:
         assert main(synthetic_argv("--config", str(path))) == 2
         assert f"unknown key {key!r} in [{section}]" in capsys.readouterr().err
 
+    def test_unknown_section_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("[serach]\nm = 4\n")  # misspelled [search]
+        assert main(synthetic_argv("--config", str(path))) == 2
+        err = capsys.readouterr().err
+        assert "unknown section [serach]" in err and "run or search" in err
+
     def test_run_and_search_flags_are_keys(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text(
