@@ -477,6 +477,15 @@ class SyntheticOracleBackend(Backend):
         return BackendResponse(completions=tuple([""] * request.n))
 
 
+# cache_key's encoder, built once: json.dumps builds a new one on every call
+# given any option. Same defaults as json.dumps, so keys keep their bytes.
+_KEY_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+# Cache entries are read in chunks of this size; most fit in one. A larger
+# buffer costs more to allocate than the read it serves.
+_READ_CHUNK = 64 * 1024
+
+
 class ResponseCache:
     """Content-addressed response cache: one JSON file per key digest.
 
@@ -484,12 +493,19 @@ class ResponseCache:
     max_tokens, stop and a sample-batch index, so repeated draws at one
     temperature stay distinct while identical requests are served from
     disk. Entries are written atomically; I/O failures degrade to uncached
-    operation and a damaged entry reads as a miss, both with a warning.
+    operation and a damaged entry reads as a miss, both with a warning. An
+    entry is damaged unless it is UTF-8 JSON whose ``completions`` is a list
+    of strings and whose ``usage`` is an object or null. cached_generate
+    and cached_generate_many also read a hit with other than ``request.n``
+    completions as a logged miss, reissue the request and overwrite the
+    entry.
     """
 
     def __init__(self, cache_dir: str | Path, enabled: bool = True):
         self.cache_dir = Path(cache_dir)
         self.enabled = enabled
+        # entry paths are joined as strings, cheaper than Path arithmetic
+        self._prefix = os.path.join(os.fspath(self.cache_dir), "")
         if enabled:
             try:
                 self.cache_dir.mkdir(parents=True, exist_ok=True)
@@ -501,7 +517,7 @@ class ResponseCache:
     def cache_key(
         backend_id: str, request: BackendRequest, batch_index: int = 0
     ) -> str:
-        payload = json.dumps(
+        payload = _KEY_ENCODER.encode(
             [
                 backend_id,
                 prompt_digest(request.prompt),
@@ -510,30 +526,40 @@ class ResponseCache:
                 request.max_tokens,
                 list(request.stop) if request.stop else None,
                 batch_index,
-            ],
-            separators=(",", ":"),
+            ]
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def _path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return f"{self._prefix}{key}.json"
 
     def get(self, key: str) -> Optional[BackendResponse]:
         if not self.enabled:
             return None
         try:
-            raw = self._path(key).read_text(encoding="utf-8")
+            fd = os.open(self._path(key), os.O_RDONLY)
+            try:
+                chunks = []
+                while chunk := os.read(fd, _READ_CHUNK):
+                    chunks.append(chunk)
+            finally:
+                os.close(fd)
         except FileNotFoundError:
             return None
-        except OSError as exc:
+        except OSError as exc:  # a directory at the path fails in os.read
             log.warning("cache read failed for %s: %s", key, exc)
             return None
         try:
-            data = json.loads(raw)
-            return BackendResponse(
-                completions=tuple(data["completions"]), usage=data.get("usage")
-            )
-        except (ValueError, KeyError, TypeError) as exc:
+            data = json.loads(b"".join(chunks).decode("utf-8"))
+            completions, usage = data["completions"], data.get("usage")
+            if not isinstance(completions, list) or not all(
+                isinstance(text, str) for text in completions
+            ):
+                raise TypeError("completions is not a list of strings")
+            if usage is not None and not isinstance(usage, dict):
+                raise TypeError("usage is neither an object nor null")
+            return BackendResponse(completions=tuple(completions), usage=usage)
+        except (ValueError, KeyError, TypeError) as exc:  # ValueError: UTF-8, JSON
             log.warning("damaged cache entry %s treated as a miss: %s", key, exc)
             return None
 
@@ -562,6 +588,23 @@ class ResponseCache:
             return False
 
 
+def _lookup(
+    cache: ResponseCache, key: str, request: BackendRequest
+) -> Optional[BackendResponse]:
+    """The entry under key, or None; a hit with other than ``request.n``
+    completions cannot answer the request and is a logged miss."""
+    hit = cache.get(key)
+    if hit is not None and len(hit.completions) != request.n:
+        log.warning(
+            "cache entry %s holds %d completions for n=%d, treated as a miss",
+            key,
+            len(hit.completions),
+            request.n,
+        )
+        return None
+    return hit
+
+
 def cached_generate(
     cache: Optional[ResponseCache],
     backend: Backend,
@@ -573,7 +616,7 @@ def cached_generate(
     if cache is None or not cache.enabled:
         return generate(backend, request, transcript)
     key = ResponseCache.cache_key(backend.backend_id, request, batch_index)
-    hit = cache.get(key)
+    hit = _lookup(cache, key, request)
     if hit is not None:
         return hit
     response = generate(backend, request, transcript)
@@ -617,7 +660,9 @@ def cached_generate_many(
             ResponseCache.cache_key(backend.backend_id, request, batch_index)
             for request, batch_index in draws
         ]
-        responses = [cache.get(key) for key in keys]
+        responses = [
+            _lookup(cache, key, request) for key, (request, _) in zip(keys, draws)
+        ]
     issued: dict[str, int] = {}  # cache key -> the miss that issues it
     twins: dict[int, int] = {}  # later miss -> earlier miss with its key
     misses: list[int] = []

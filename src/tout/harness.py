@@ -34,7 +34,7 @@ from .model import (
     TaskSpec,
     Transcript,
 )
-from .search import run_method
+from .search import check_method, run_method
 from .tasks import Problem
 from .tasks.synthetic import TrapBenchmark
 
@@ -165,6 +165,7 @@ def _run_episode(
     started = time.perf_counter()
     exhausted = False
     backend_error = False
+    error = False
     output = ""
     try:
         result = run_method(
@@ -179,6 +180,11 @@ def _run_episode(
     except BackendUnavailableError as exc:
         backend_error = True
         transcript.emit("note", text=f"backend unavailable: {exc}")
+    except Exception as exc:
+        # a fault in one episode fails that episode, not the run
+        log.exception("episode %s failed", problem.problem_id)
+        error = True
+        transcript.emit("note", text=f"episode failed: {type(exc).__name__}: {exc}")
     seconds = time.perf_counter() - started
 
     verdicts = dict(task.check_success(output, problem.truth))
@@ -186,6 +192,8 @@ def _run_episode(
         verdicts["exhausted"] = 1.0
     if backend_error:
         verdicts["backend_error"] = 1.0
+    if error:
+        verdicts["error"] = 1.0
     events = transcript.record_events()
     verdicts.update(task.extra_verdicts(events, problem.truth))
 
@@ -223,12 +231,15 @@ def run_benchmark(
     backend_factory receives each episode's seed (run_seed XOR episode
     index), so stochastic backends are reproducible per episode while a
     shared HTTP backend can simply ignore it. Episodes whose records are
-    already present in record_path are not rerun. Backend failures mark
-    their episode failed and the run continues, unless more than half of
-    all episodes fail, which aborts the whole run as soon as that is known:
-    under ``jobs`` the episodes not yet started are cancelled.
+    already present in record_path are not rerun. A backend failure
+    (verdict ``backend_error``) or any other exception (verdict ``error``,
+    with a note naming it) fails its episode, whose record is kept, and the
+    run continues, unless more than half of all episodes fail, which aborts
+    the whole run as soon as that is known: under ``jobs`` the episodes not
+    yet started are cancelled. KeyboardInterrupt is not caught.
     """
     config.validate()
+    check_method(method)  # a usage error, not an episode's fault
     if not problems:
         raise InvalidArgumentError("no episodes selected: the problem list is empty")
     if jobs < 1:
@@ -270,8 +281,12 @@ def run_benchmark(
         if failures * 2 > total:
             raise RunAbortedError(
                 f"aborted: {failures} of {total} episodes failed on backend "
-                "errors; completed episode records were kept"
+                "or episode errors; completed episode records were kept"
             )
+
+    def failed_episode(result: EpisodeResult) -> bool:
+        verdicts = result.verdicts
+        return 1.0 in (verdicts.get("backend_error"), verdicts.get("error"))
 
     failed = 0
     if jobs == 1:
@@ -279,7 +294,7 @@ def run_benchmark(
         for i, p in enumerate(problems):
             result = run_one(i, p)
             results.append(result)
-            failed += int(result.verdicts.get("backend_error", 0.0) == 1.0)
+            failed += failed_episode(result)
             check_abort(failed)
     else:
         results = [None] * total
@@ -288,7 +303,7 @@ def run_benchmark(
             try:
                 for future in as_completed(futures):
                     result = results[futures[future]] = future.result()
-                    failed += int(result.verdicts.get("backend_error", 0.0) == 1.0)
+                    failed += failed_episode(result)
                     check_abort(failed)
             except BaseException:
                 # episodes not yet started would only spend backend calls

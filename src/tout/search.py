@@ -393,6 +393,13 @@ def run_cot_sc(
     )
 
 
+def check_method(method: str) -> None:
+    if method not in METHODS:
+        raise InvalidArgumentError(
+            f"unknown method {method!r}, expected one of {', '.join(METHODS)}"
+        )
+
+
 def run_method(
     method: str,
     task: TaskSpec,
@@ -403,10 +410,7 @@ def run_method(
     cache: Optional[ResponseCache] = None,
 ) -> SearchResult:
     """Dispatch one episode by method name (see METHODS)."""
-    if method not in METHODS:
-        raise InvalidArgumentError(
-            f"unknown method {method!r}, expected one of {', '.join(METHODS)}"
-        )
+    check_method(method)
     if method == "io":
         prompt = task.io_prompt(problem_input)
         return run_prompt(task, prompt, backend, config, transcript, cache)

@@ -17,6 +17,7 @@ import shutil
 import socket
 import socketserver
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -32,12 +33,20 @@ from tout.backends import (
     SyntheticOracleBackend,
     body_to_request,
     cached_generate,
+    cached_generate_many,
     generate,
     prompt_digest,
     quantize_temperature,
     request_to_body,
 )
-from tout.model import BackendUnavailableError, InvalidArgumentError, Transcript
+from tout.harness import run_benchmark, synthetic_setup
+from tout.model import (
+    BackendUnavailableError,
+    InvalidArgumentError,
+    SearchConfig,
+    Transcript,
+)
+from tout.tasks.synthetic import build_trap_benchmark
 
 
 class TestRequestEncoding:
@@ -580,6 +589,27 @@ class _CountingBackend:
         return BackendResponse(completions=("x",) * request.n)
 
 
+class _WideCountingBackend(_CountingBackend):
+    """A counting backend that allows concurrent requests."""
+
+    max_in_flight = 4
+
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()
+        self._pool = ThreadPoolExecutor(max_workers=self.max_in_flight)
+
+    def executor(self):
+        return self._pool
+
+    def close(self):
+        self._pool.shutdown(wait=True)
+
+    def generate(self, request):
+        with self._lock:
+            return super().generate(request)
+
+
 class TestResponseCache:
     def test_round_trip(self, tmp_path):
         cache = ResponseCache(tmp_path)
@@ -587,6 +617,30 @@ class TestResponseCache:
         key = ResponseCache.cache_key("b1", BackendRequest(prompt="p", temperature=0.5))
         cache.put(key, response)
         assert cache.get(key) == response
+
+    def test_large_entry_round_trips(self, tmp_path):
+        # larger than one read chunk, with multi-byte characters across chunks
+        cache = ResponseCache(tmp_path)
+        text = "é24" * 70_000  # about 210 KB of UTF-8
+        response = BackendResponse(completions=(text, "short"))
+        key = ResponseCache.cache_key("b1", BackendRequest(prompt="p", temperature=0.5))
+        cache.put(key, response)
+        assert cache.get(key) == response
+
+    def test_key_bytes_are_pinned(self):
+        # cache entries written by earlier versions must keep hitting
+        default = BackendRequest(prompt="p", temperature=0.5)
+        stopped = BackendRequest(prompt="p", temperature=0.5, stop=("\n",))
+        assert ResponseCache.cache_key("b1", default) == (
+            "6bcf80721b8282390341417216e1754dd4f006e9fd7e84f74c201aab128b2d28"
+        )
+        assert ResponseCache.cache_key("b1", stopped, batch_index=3) == (
+            "4c5bfd2e0a8d2a28d4d3ab728fbc85749baac230ee40de01ffba819847d0c379"
+        )
+        # a non-ASCII backend id is hashed in its escaped (ensure_ascii) form
+        assert ResponseCache.cache_key(
+            "http:https://api.example/v1:mod\u00e8le-\u2603", default
+        ) == "27cb2329de86f592b4ad603f09313894264356d55c18b310c6c56c472b572608"
 
     def test_key_separation(self):
         base = BackendRequest(prompt="p", temperature=0.5, n=2)
@@ -651,14 +705,55 @@ class TestResponseCache:
         request = BackendRequest(prompt="p", temperature=0.5)
         cached_generate(cache, backend, request)
         (entry,) = tmp_path.iterdir()
-        entry.write_text(entry.read_text()[:7], encoding="utf-8")  # torn write
-        with caplog.at_level(logging.WARNING, logger="tout.backends"):
-            response = cached_generate(cache, backend, request)
-        assert response.completions == ("x",)
-        assert backend.calls == 2
-        assert "damaged cache entry" in caplog.text
+        torn = entry.read_bytes()[:7]  # an interrupted write
+        not_utf8 = b'{"completions": ["\xff\xfe"]}'
         key = ResponseCache.cache_key(backend.backend_id, request)
-        assert cache.get(key) == response  # the miss rewrote the entry
+        for calls, damaged in enumerate((torn, not_utf8), start=2):
+            entry.write_bytes(damaged)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="tout.backends"):
+                response = cached_generate(cache, backend, request)
+            assert response.completions == ("x",)
+            assert backend.calls == calls
+            assert "damaged cache entry" in caplog.text
+            assert cache.get(key) == response  # the miss rewrote the entry
+
+    def test_directory_at_an_entry_path_is_a_logged_miss(self, tmp_path, caplog):
+        cache = ResponseCache(tmp_path)
+        key = ResponseCache.cache_key("b1", BackendRequest(prompt="p", temperature=0.5))
+        (tmp_path / f"{key}.json").mkdir()
+        with caplog.at_level(logging.WARNING, logger="tout.backends"):
+            assert cache.get(key) is None
+        assert "cache read failed" in caplog.text
+
+    def test_missing_entry_is_a_silent_miss(self, tmp_path, caplog):
+        cache = ResponseCache(tmp_path)
+        with caplog.at_level(logging.WARNING, logger="tout.backends"):
+            assert cache.get("0" * 64) is None
+        assert caplog.text == ""
+
+    def test_warm_batch_reads_each_draw_once_and_calls_nothing(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        draws = [(BackendRequest(prompt=f"p{i % 3}", temperature=0.5), i)
+                 for i in range(6)]
+        cold = _WideCountingBackend()
+        try:
+            filled = list(cached_generate_many(cache, cold, draws))
+        finally:
+            cold.close()
+        assert cold.calls == 6
+        warm = _WideCountingBackend()
+        seen = []
+        inner = cache.get
+        cache.get = lambda key: seen.append(key) or inner(key)  # as the bench wraps it
+        try:
+            served = list(cached_generate_many(cache, warm, draws))
+        finally:
+            warm.close()
+        assert served == filled
+        assert warm.calls == 0
+        assert seen == [ResponseCache.cache_key(warm.backend_id, request, index)
+                        for request, index in draws]
 
     def test_failed_put_leaves_the_old_entry_whole(self, tmp_path, monkeypatch):
         cache = ResponseCache(tmp_path)
@@ -680,3 +775,72 @@ class TestResponseCache:
         cache.put(key, BackendResponse(completions=("a",)))
         assert cache.get(key) is None
         assert list(tmp_path.iterdir()) == []
+
+
+# Entries a sane writer never produces; each must read as a logged miss.
+WRONG_SHAPES = [
+    pytest.param({"completions": []}, "holds 0 completions", id="empty"),
+    pytest.param({"completions": [None]}, "damaged cache entry", id="null"),
+    pytest.param({"completions": [1]}, "damaged cache entry", id="number"),
+    pytest.param({"completions": "ab"}, "damaged cache entry", id="string"),
+    pytest.param({"completions": ["a"], "usage": 3}, "damaged cache entry",
+                 id="usage"),
+    pytest.param({"completions": ["a", "b"]}, "holds 2 completions", id="surplus"),
+]
+
+
+class TestWrongShapeEntries:
+    """A cache entry that parses as JSON but cannot be the answer to its
+    request is reissued and overwritten, never served."""
+
+    @pytest.mark.parametrize("entry, message", WRONG_SHAPES)
+    def test_cached_generate_reissues(self, tmp_path, caplog, entry, message):
+        cache = ResponseCache(tmp_path)
+        backend = _CountingBackend()
+        request = BackendRequest(prompt="p", temperature=0.5)
+        key = ResponseCache.cache_key(backend.backend_id, request)
+        (tmp_path / f"{key}.json").write_text(json.dumps(entry), encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="tout.backends"):
+            response = cached_generate(cache, backend, request)
+        assert response.completions == ("x",)
+        assert backend.calls == 1
+        assert message in caplog.text
+        assert cache.get(key) == response  # the miss rewrote the entry
+
+    @pytest.mark.parametrize("entry, message", WRONG_SHAPES)
+    def test_batch_reissues(self, tmp_path, caplog, entry, message):
+        cache = ResponseCache(tmp_path)
+        backend = _WideCountingBackend()
+        draws = [(BackendRequest(prompt="p", temperature=0.5), i) for i in range(3)]
+        keys = [ResponseCache.cache_key(backend.backend_id, request, index)
+                for request, index in draws]
+        (tmp_path / f"{keys[1]}.json").write_text(json.dumps(entry), encoding="utf-8")
+        try:
+            with caplog.at_level(logging.WARNING, logger="tout.backends"):
+                responses = list(cached_generate_many(cache, backend, draws))
+        finally:
+            backend.close()
+        assert [r.completions for r in responses] == [("x",)] * 3
+        assert backend.calls == 3
+        assert message in caplog.text
+        assert cache.get(keys[1]) == responses[1]
+
+    def test_run_over_a_poisoned_cache_matches_a_cold_run(self, tmp_path):
+        bench = build_trap_benchmark(depth=2)
+        task, problems, factory = synthetic_setup(bench, episodes=3)
+        config = SearchConfig(k=2, b=1, T=2, m=4)
+
+        def records(cache):
+            report = run_benchmark(task, problems, "tout_bfs", factory, config,
+                                   cache=cache, run_seed=3)
+            return [r.record.to_json() for r in report.results]
+
+        cold = records(ResponseCache(tmp_path / "cold"))
+        poisoned = ResponseCache(tmp_path / "poisoned")
+        records(poisoned)
+        entries = sorted(poisoned.cache_dir.iterdir())
+        assert entries
+        for i, entry in enumerate(entries):
+            shape = WRONG_SHAPES[i % len(WRONG_SHAPES)].values[0]
+            entry.write_text(json.dumps(shape), encoding="utf-8")
+        assert records(poisoned) == cold

@@ -17,7 +17,12 @@ from dataclasses import replace
 
 import pytest
 
-from tout.backends import Backend, BackendRequest, SyntheticOracleBackend
+from tout.backends import (
+    Backend,
+    BackendRequest,
+    BackendResponse,
+    SyntheticOracleBackend,
+)
 from tout.harness import (
     ABLATION_GRID,
     RESULT_COLUMNS,
@@ -44,7 +49,7 @@ from tout.model import (
     best_path_from_events,
 )
 from tout.tasks import Problem, make_task
-from tout.tasks.synthetic import build_trap_benchmark
+from tout.tasks.synthetic import SyntheticTreeTask, build_trap_benchmark
 
 
 def quick_setup(episodes=4, depth=1):
@@ -279,6 +284,80 @@ class TestAbort:
         with pytest.raises(RunAbortedError):
             run_benchmark(task, self._problems(4), "tout_bfs",
                           lambda s: _FailingBackend(), QUICK, jobs=2)
+
+
+class _StrictValueTask(SyntheticTreeTask):
+    """The trap tree with a value parser that raises on what it cannot read."""
+
+    def parse_value(self, text):
+        if text == "garbled":
+            raise RuntimeError("value text unreadable")
+        return super().parse_value(text)
+
+
+class _GarbledValues(Backend):
+    """The oracle's answers, with every value answer replaced by garble."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+
+    def generate(self, request):
+        response = self.inner.generate(request)
+        if request.prompt.startswith("VALUE "):
+            return BackendResponse(completions=("garbled",) * request.n)
+        return response
+
+
+class TestEpisodeErrors:
+    """An unexpected exception in one episode fails that episode alone."""
+
+    def _run(self, bad_seeds, jobs, record_path=None, task=None):
+        bench = build_trap_benchmark(depth=2)
+        _, problems, _ = synthetic_setup(bench, episodes=3)
+
+        def factory(seed):
+            backend = bench.backend(seed)
+            return _GarbledValues(backend) if seed in bad_seeds else backend
+
+        return run_benchmark(task or _StrictValueTask(max_steps=2), problems,
+                             "tout_bfs", factory, QUICK, record_path=record_path,
+                             jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_erroring_episode_is_recorded_and_the_run_goes_on(self, tmp_path, jobs):
+        clean = self._run(set(), jobs)
+        path = tmp_path / "records.jsonl"
+        report = self._run({1}, jobs, record_path=path)
+        assert report.episodes == 3
+        assert report.metrics["error"] == pytest.approx(1 / 3)
+        for i in (0, 2):
+            assert report.results[i].record.to_json() == clean.results[i].record.to_json()
+        failed = report.results[1]
+        assert failed.verdicts["error"] == 1.0
+        assert failed.verdicts["success"] == 0.0
+        notes = [e["text"] for e in failed.record.events if e["event"] == "note"]
+        assert notes == ["episode failed: RuntimeError: value text unreadable"]
+        persisted = load_existing_records(path)
+        assert sorted(key for key, _ in persisted) == [f"synthetic/{i}" for i in range(3)]
+        assert failed.record in persisted.values()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_erroring_majority_aborts(self, tmp_path, jobs):
+        path = tmp_path / "records.jsonl"
+        with pytest.raises(RunAbortedError):
+            self._run({0, 1}, jobs, record_path=path)
+        errors = [r.verdicts.get("error") for r in load_existing_records(path).values()]
+        assert errors.count(1.0) == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_keyboard_interrupt_propagates(self, jobs):
+        class InterruptedTask(SyntheticTreeTask):
+            def parse_value(self, text):
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            self._run(set(), jobs, task=InterruptedTask(max_steps=2))
 
 
 class TestAblationAndSweep:
