@@ -27,12 +27,13 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
 from urllib.parse import unquote, urlsplit
 
-import numpy as np
-
 from .model import BackendUnavailableError, InvalidArgumentError, Transcript
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -416,6 +417,8 @@ class ScriptedBackend(Backend):
 
 
 def _key_seed(seed: int, key: str) -> np.random.Generator:
+    import numpy as np
+
     key_hash = int.from_bytes(
         hashlib.sha256(key.encode("utf-8")).digest()[:8], "big"
     )
@@ -449,7 +452,10 @@ class SyntheticOracleBackend(Backend):
         self.noise_std = dict(noise_std)
         self.children = dict(children or {})
         self.seed = seed
-        self._draws: dict[str, int] = {}
+        # numpy serves only this oracle: it loads when the first one is
+        # built, before any episode's clock starts, not on a draw
+        import numpy  # noqa: F401
+
         self._rngs: dict[str, np.random.Generator] = {}
         self._lock = threading.Lock()
 
@@ -458,7 +464,6 @@ class SyntheticOracleBackend(Backend):
             rng = self._rngs.get(key)
             if rng is None:
                 rng = self._rngs[key] = _key_seed(self.seed, key)
-            self._draws[key] = self._draws.get(key, 0) + n
             return [float(g) for g in rng.standard_normal(n)]
 
     def generate(self, request: BackendRequest) -> BackendResponse:

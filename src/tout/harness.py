@@ -3,9 +3,10 @@
 Every episode produces a RunRecord line in a JSONL file keyed by problem
 id plus a digest of the effective configuration; rerunning the same
 benchmark skips episodes whose records already exist, so interrupted runs
-resume where they stopped. Aggregated metrics are means of the per-episode
-verdict values, reported as rows with a fixed column order for the CSV and
-markdown emitters.
+resume where they stopped. Failed episodes (a backend outage or an episode
+error) rerun instead, and the record appended last for a key wins.
+Aggregated metrics are means of the per-episode verdict values, reported
+as rows with a fixed column order for the CSV and markdown emitters.
 """
 
 from __future__ import annotations
@@ -122,9 +123,11 @@ def default_run_id(task_name: str, method: str, config: SearchConfig) -> str:
 def load_existing_records(path: str | Path) -> dict[tuple[str, str], RunRecord]:
     """Index of completed episodes: (problem_id, config digest) -> record.
 
-    Unreadable lines are skipped with a warning. A final line without its
-    newline was torn by an interrupted append: it is cut from the file, so
-    the next append starts on a line of its own and that episode reruns.
+    When a key has several lines, as a failed episode that was rerun does,
+    the last one wins. Unreadable lines are skipped with a warning. A final
+    line without its newline was torn by an interrupted append: it is cut
+    from the file, so the next append starts on a line of its own and that
+    episode reruns.
     """
     existing: dict[tuple[str, str], RunRecord] = {}
     path = Path(path)
@@ -150,6 +153,12 @@ def load_existing_records(path: str | Path) -> dict[tuple[str, str], RunRecord]:
         digest = record.config.get("digest", "")
         existing[(record.problem_id, digest)] = record
     return existing
+
+
+def _episode_failed(verdicts: dict[str, float]) -> bool:
+    """A backend outage or an episode error: the run counts it toward the
+    abort, and a resumed run reruns it. An exhausted search is an outcome."""
+    return 1.0 in (verdicts.get("backend_error"), verdicts.get("error"))
 
 
 def _run_episode(
@@ -231,10 +240,11 @@ def run_benchmark(
     backend_factory receives each episode's seed (run_seed XOR episode
     index), so stochastic backends are reproducible per episode while a
     shared HTTP backend can simply ignore it. Episodes whose records are
-    already present in record_path are not rerun. A backend failure
-    (verdict ``backend_error``) or any other exception (verdict ``error``,
-    with a note naming it) fails its episode, whose record is kept, and the
-    run continues, unless more than half of all episodes fail, which aborts
+    already present in record_path are not rerun, except failed ones, which
+    run again and append their new record. A backend failure (verdict
+    ``backend_error``) or any other exception (verdict ``error``, with a
+    note naming it) fails its episode, whose record is kept, and the run
+    continues, unless more than half of all episodes fail, which aborts
     the whole run as soon as that is known: under ``jobs`` the episodes not
     yet started are cancelled. KeyboardInterrupt is not caught.
     """
@@ -257,9 +267,8 @@ def run_benchmark(
                 handle.write(record.to_json() + "\n")
 
     def run_one(index: int, problem: Problem) -> EpisodeResult:
-        key = (problem.problem_id, digest)
-        if key in existing:
-            record = existing[key]
+        record = existing.get((problem.problem_id, digest))
+        if record is not None and not _episode_failed(record.verdicts):
             return EpisodeResult(
                 problem_id=problem.problem_id,
                 verdicts=dict(record.verdicts),
@@ -284,17 +293,13 @@ def run_benchmark(
                 "or episode errors; completed episode records were kept"
             )
 
-    def failed_episode(result: EpisodeResult) -> bool:
-        verdicts = result.verdicts
-        return 1.0 in (verdicts.get("backend_error"), verdicts.get("error"))
-
     failed = 0
     if jobs == 1:
         results = []
         for i, p in enumerate(problems):
             result = run_one(i, p)
             results.append(result)
-            failed += failed_episode(result)
+            failed += _episode_failed(result.verdicts)
             check_abort(failed)
     else:
         results = [None] * total
@@ -303,7 +308,7 @@ def run_benchmark(
             try:
                 for future in as_completed(futures):
                     result = results[futures[future]] = future.result()
-                    failed += failed_episode(result)
+                    failed += _episode_failed(result.verdicts)
                     check_abort(failed)
             except BaseException:
                 # episodes not yet started would only spend backend calls

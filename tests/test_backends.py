@@ -12,18 +12,23 @@ import base64
 import http.client
 import json
 import logging
+import os
 import select
 import shutil
 import socket
 import socketserver
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import tout
 from tout.backends import (
     BackendRequest,
     BackendResponse,
@@ -576,6 +581,46 @@ class TestSyntheticOracle:
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidArgumentError):
             SyntheticOracleBackend({"a": 1.0}, {"a": -0.5}, seed=0)
+
+
+_FOOTPRINT_SCRIPT = """
+import sys
+import tout, tout.cli
+from tout.backends import (
+    BackendRequest, HttpBackend, ResponseCache, ScriptedBackend,
+    SyntheticOracleBackend,
+)
+HttpBackend(base_url="http://127.0.0.1:9", model="m").close()
+ScriptedBackend({})
+ResponseCache(sys.argv[1])
+print("numpy" in sys.modules)
+oracle = SyntheticOracleBackend({"a": 1.0}, {"a": 0.5}, seed=0)
+print("numpy" in sys.modules)
+oracle.generate(BackendRequest(prompt="VALUE a", temperature=1.0))
+print("numpy" in sys.modules)
+"""
+
+
+class TestImportFootprint:
+    """numpy serves only the synthetic oracle and loads when one is built.
+
+    The test process has numpy loaded already, so a fresh interpreter runs
+    the imports and reports what they loaded.
+    """
+
+    def test_numpy_loads_with_the_first_oracle(self, tmp_path):
+        package_root = Path(tout.__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(package_root), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_SCRIPT, str(tmp_path / "cache")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        # before any oracle; once one is built; after its first draw
+        assert done.stdout.split() == ["False", "True", "True"]
 
 
 class _CountingBackend:

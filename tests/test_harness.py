@@ -360,6 +360,125 @@ class TestEpisodeErrors:
             self._run(set(), jobs, task=InterruptedTask(max_steps=2))
 
 
+class _NegativeValueBug(SyntheticTreeTask):
+    """The trap tree with a value parser that wrongly assumes values are
+    non-negative. At run seed 10 only episode 1 draws a negative value."""
+
+    def parse_value(self, text):
+        value = super().parse_value(text)
+        if value < 0:
+            raise ValueError(f"negative value {text}")
+        return value
+
+
+class _CountedBackend(Backend):
+    """Passes requests to the wrapped backend, logging each in ``calls``."""
+
+    def __init__(self, inner, calls):
+        self.inner = inner
+        self.calls = calls
+        self.backend_id = inner.backend_id
+
+    def generate(self, request):
+        self.calls.append(request.prompt)
+        return self.inner.generate(request)
+
+
+class TestResumeRerunsFailures:
+    """A resumed run reruns the episodes that failed (``backend_error`` or
+    ``error``); their new records are appended and win on later resumes."""
+
+    def _problems(self):
+        bench = build_trap_benchmark(depth=2)
+        _, problems, _ = synthetic_setup(bench, episodes=3)
+        return bench, problems
+
+    def _run(self, task, problems, factory, path, jobs, run_seed):
+        return run_benchmark(task, problems, "tout_bfs", factory, QUICK,
+                             record_path=path, run_seed=run_seed, jobs=jobs)
+
+    def _check_rerun_heals(self, bench, problems, path, jobs, run_seed):
+        """Reruns healthy over ``path``, whose episode 1 failed, then again."""
+        task = bench.task()
+        clean = run_benchmark(task, problems, "tout_bfs", bench.backend, QUICK,
+                              run_seed=run_seed)
+        failed_lines = path.read_text().splitlines(keepends=True)
+        assert len(failed_lines) == 3
+        calls = []
+
+        def counted(seed):
+            return _CountedBackend(bench.backend(seed), calls)
+
+        second = self._run(task, problems, counted, path, jobs, run_seed)
+        assert [r.resumed for r in second.results] == [True, False, True]
+        assert calls  # episode 1 called the backend again
+        assert [r.record.to_json() for r in second.results] == [
+            r.record.to_json() for r in clean.results
+        ]
+        assert second.metrics == clean.metrics  # no failure verdicts left
+        # the failed record stays on disk; the rerun's record is appended
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[:3] == failed_lines
+        assert lines[3:] == [clean.results[1].record.to_json() + "\n"]
+        # the last line of a key wins when the file is read back
+        persisted = load_existing_records(path)
+        assert len(persisted) == 3
+        assert persisted[("synthetic/1", second.digest)] == clean.results[1].record
+
+        before = path.read_bytes()
+        calls.clear()
+        third = self._run(task, problems, counted, path, jobs, run_seed)
+        assert all(r.resumed for r in third.results)
+        assert calls == []
+        assert third.metrics == clean.metrics
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_backend_error_episode_reruns(self, tmp_path, jobs):
+        bench, problems = self._problems()
+        path = tmp_path / "records.jsonl"
+
+        def outage(seed):
+            return _FailingBackend() if seed == 1 else bench.backend(seed)
+
+        first = self._run(bench.task(), problems, outage, path, jobs, run_seed=0)
+        assert [r.verdicts.get("backend_error") for r in first.results] == [
+            None, 1.0, None
+        ]
+        self._check_rerun_heals(bench, problems, path, jobs, run_seed=0)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_error_episode_reruns_after_the_task_is_fixed(self, tmp_path, jobs):
+        bench, problems = self._problems()
+        path = tmp_path / "records.jsonl"
+        first = self._run(_NegativeValueBug(max_steps=2), problems,
+                          bench.backend, path, jobs, run_seed=10)
+        assert [r.verdicts.get("error") for r in first.results] == [None, 1.0, None]
+        self._check_rerun_heals(bench, problems, path, jobs, run_seed=10)
+
+    def test_exhausted_episode_resumes(self, tmp_path):
+        # a childless tree makes the first expansion propose nothing
+        task = build_trap_benchmark(depth=1).task()
+        _, problems, _ = quick_setup(episodes=2)
+        path = tmp_path / "records.jsonl"
+        calls = []
+
+        def childless(seed):
+            oracle = SyntheticOracleBackend({"root": 10.0}, {"root": 0.5}, seed=seed)
+            return _CountedBackend(oracle, calls)
+
+        first = run_benchmark(task, problems, "tout_bfs", childless, QUICK,
+                              record_path=path)
+        assert first.metrics["exhausted"] == 1.0
+        before = path.read_bytes()
+        calls.clear()
+        again = run_benchmark(task, problems, "tout_bfs", childless, QUICK,
+                              record_path=path)
+        assert all(r.resumed for r in again.results)
+        assert calls == []
+        assert path.read_bytes() == before
+
+
 class TestAblationAndSweep:
     def test_grid_order_and_labels(self):
         assert ABLATION_GRID == ((False, False), (True, False), (False, True),
