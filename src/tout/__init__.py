@@ -12,38 +12,23 @@ from .backends import (
     BackendResponse,
     HttpBackend,
     ResponseCache,
-    ScriptedBackend,
-    SyntheticOracleBackend,
     cached_generate,
     generate,
 )
 from .model import (
     BackendUnavailableError,
     InvalidArgumentError,
-    MissingStateError,
     RunRecord,
-    ScoredState,
     SearchConfig,
     SearchExhaustedError,
-    State,
     StateStore,
-    TaskSpec,
     Transcript,
     extend_state,
-    path_to_root,
 )
-from .search import (
-    METHODS,
-    SearchResult,
-    run_method,
-    tout_bfs,
-    tout_dfs,
-)
+from .search import run_method, tout_bfs, tout_dfs
 from .uncertainty import (
-    UncertaintyEstimate,
     aggregate_value,
     confidence_score,
-    estimate_uncertainty,
     evaluate_state,
     temperature_schedule,
     variance,
@@ -58,29 +43,18 @@ __all__ = [
     "BackendUnavailableError",
     "HttpBackend",
     "InvalidArgumentError",
-    "METHODS",
-    "MissingStateError",
     "ResponseCache",
     "RunRecord",
-    "ScoredState",
-    "ScriptedBackend",
     "SearchConfig",
     "SearchExhaustedError",
-    "SearchResult",
-    "State",
     "StateStore",
-    "SyntheticOracleBackend",
-    "TaskSpec",
     "Transcript",
-    "UncertaintyEstimate",
     "aggregate_value",
     "cached_generate",
     "confidence_score",
-    "estimate_uncertainty",
     "evaluate_state",
     "extend_state",
     "generate",
-    "path_to_root",
     "run_method",
     "temperature_schedule",
     "tout_bfs",

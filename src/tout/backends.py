@@ -6,8 +6,9 @@ Four interchangeable backends sit behind one ``generate`` call:
 * ScriptedBackend  -- pure table lookup; the deterministic test double.
 * SyntheticOracleBackend -- seeded noisy oracle for desk-scale experiments.
 * ResponseCache / cached_generate -- content-addressed response cache;
-  cached_generate_many issues independent requests concurrently where the
-  backend allows it.
+  cached_generate is the one-draw case of cached_generate_many, which on a
+  backend wider than one request sends every request through the
+  backend's one pool, so that pool bounds requests across all threads.
 
 Temperature is the only model knob the engine manipulates, so backends must
 keep responses at distinct temperatures genuinely distinct (cache keys
@@ -107,8 +108,10 @@ def body_to_request(body: dict[str, Any]) -> BackendRequest:
 class Backend:
     """Minimal backend interface: an id for cache keys plus raw generation.
 
-    ``max_in_flight`` is how many independent requests callers may have
-    outstanding at once; backends wider than 1 also provide ``executor()``.
+    ``max_in_flight`` is how many requests may be outstanding at once.
+    Backends wider than 1 also provide ``executor()``, a pool of that width
+    through which the engine sends every request it makes to them, from
+    every thread; a backend of width 1 is called on the caller's thread.
     """
 
     backend_id: str = "backend"
@@ -183,11 +186,13 @@ class HttpBackend(Backend):
     proxy for the base URL's scheme and the host is not bypassed
     (``no_proxy``), the connection is a CONNECT tunnel through that proxy.
 
-    At most ``max_in_flight`` requests are on the wire at once across all
-    threads. ``executor()`` is a pool of that width, shared by every caller,
-    for issuing independent requests concurrently; ``close()`` shuts it down
-    and closes every connection, and the backend reopens what it needs if
-    used again.
+    ``executor()`` is a pool of width ``max_in_flight``, shared by every
+    caller. The engine sends every request it makes through it (see
+    cached_generate_many), so the pool alone bounds the requests on the
+    wire, across all ``--jobs`` threads; a direct ``generate()`` call
+    outside the pool is not bounded. ``close()`` shuts the pool down and
+    closes every connection, and the backend reopens what it needs if used
+    again.
     """
 
     def __init__(
@@ -226,7 +231,6 @@ class HttpBackend(Backend):
         self.timeout_s = timeout_s
         self.max_in_flight = max_in_flight
         self.padded = 0  # empty completions padded in for a provider's shortfall
-        self._gate = threading.Semaphore(max_in_flight)
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()  # guards _pool, _connections, padded
         self._connections: set = set()
@@ -331,8 +335,7 @@ class HttpBackend(Backend):
                 time.sleep(delay)
             retry_after = 0.0
             try:
-                with self._gate:
-                    status, resp_headers, raw = self._exchange(data, headers)
+                status, resp_headers, raw = self._exchange(data, headers)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = repr(exc)
                 continue
@@ -371,6 +374,8 @@ class HttpBackend(Backend):
         payload = self._post(request_to_body(request, self.model))
         completions = self._completions_of(payload)[: request.n]
         usage = payload.get("usage")
+        if not isinstance(usage, dict):
+            usage = None  # a cache entry with another usage reads as damaged
         # Provider returned fewer than n choices: top up one at a time.
         while len(completions) < request.n:
             single = request_to_body(request, self.model)
@@ -617,16 +622,10 @@ def cached_generate(
     batch_index: int = 0,
     transcript: Optional[Transcript] = None,
 ) -> BackendResponse:
-    """generate() behind a cache; a missing or disabled cache passes through."""
-    if cache is None or not cache.enabled:
-        return generate(backend, request, transcript)
-    key = ResponseCache.cache_key(backend.backend_id, request, batch_index)
-    hit = _lookup(cache, key, request)
-    if hit is not None:
-        return hit
-    response = generate(backend, request, transcript)
-    cache.put(key, response)
-    return response
+    """generate() behind a cache: cached_generate_many() of the one draw
+    (request, batch_index); a missing or disabled cache passes through."""
+    draws = [(request, batch_index)]
+    return next(cached_generate_many(cache, backend, draws, transcript))
 
 
 def cached_generate_many(
@@ -635,28 +634,40 @@ def cached_generate_many(
     draws: Sequence[tuple[BackendRequest, int]],
     transcript: Optional[Transcript] = None,
 ) -> Iterator[BackendResponse]:
-    """cached_generate() over independent (request, batch index) draws,
-    yielding the responses in order.
+    """Responses to independent (request, batch index) draws, in order:
+    each is read from the cache or generated, and a generated one is put.
 
-    On a backend with ``max_in_flight`` above 1, the first ``next()`` makes
-    one ``ResponseCache.get`` per draw, in order, and submits the misses to
-    ``backend.executor()`` all at once; hits are served inline. A miss whose
-    cache key an earlier miss of the batch already carries is not issued
-    with them: once the earlier response is put, it is served that response,
-    as the sequential loop would have read it from the cache (no
-    ``generate`` event, no ``put``); if that put failed, it goes through
-    cached_generate in its turn, as in the sequential loop. Without an
-    enabled cache every miss is issued. Response i is yielded as soon as it
-    is done, after it is cached and its buffered transcript events are
-    replayed, so the transcript, the cache and the backend calls end as the
-    sequential loop leaves them while later draws are still in flight. A
-    failed draw raises its error in its turn, after every draw before it
-    has been yielded. When a draw fails or the consumer closes the stream,
-    the draws that have not started are cancelled.
+    On a backend of ``max_in_flight`` 1, each draw in turn is looked up,
+    generated on a miss and put: the reference order of scripted and
+    synthetic runs. On a wider backend every request goes through
+    ``backend.executor()``, the pool that bounds its requests in flight:
+    the first ``next()`` makes one ``ResponseCache.get`` per draw, in
+    order, and submits the misses all at once; hits are served inline. A
+    miss whose cache key an earlier miss of the batch already carries is
+    not issued with them: once the earlier response is put, it is served
+    that response, as the sequential loop would have read it from the
+    cache (no ``generate`` event, no ``put``); if that put failed, it goes
+    through cached_generate in its turn, as in the sequential loop.
+    Without an enabled cache every miss is issued. Response i is yielded
+    as soon as it is done, after it is cached and its buffered transcript
+    events are replayed, so the transcript, the cache and the backend
+    calls end as the sequential loop leaves them while later draws are
+    still in flight. A failed draw raises its error in its turn, after
+    every draw before it has been yielded. When a draw fails or the
+    consumer closes the stream, the draws that have not started are
+    cancelled.
     """
-    if backend.max_in_flight <= 1 or len(draws) <= 1:
+    if backend.max_in_flight <= 1:
         for request, batch_index in draws:
-            yield cached_generate(cache, backend, request, batch_index, transcript)
+            key, response = None, None
+            if cache is not None and cache.enabled:
+                key = ResponseCache.cache_key(backend.backend_id, request, batch_index)
+                response = _lookup(cache, key, request)
+            if response is None:
+                response = generate(backend, request, transcript)
+                if key is not None:
+                    cache.put(key, response)
+            yield response
         return
     keys: list[str] = []
     responses: list[Optional[BackendResponse]] = [None] * len(draws)

@@ -57,6 +57,7 @@ TASK_DEFAULT_STEPS = {"game24": 3, "crosswords": 10}
 
 SEARCH_BOOL = ("luq_enabled", "ugs_enabled")
 SEARCH_FLOAT = ("t_min", "t_max", "v_th", "u_th", "epsilon")
+RUN_INT = ("episodes", "start", "seed", "jobs", "depth")
 
 
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
@@ -139,13 +140,29 @@ def _ini_keys() -> dict[str, set[str]]:
     }
 
 
+def _read(ini: configparser.ConfigParser, section: str, key: str) -> Any:
+    """An INI value as its flag's type: [search] keys are integers unless
+    boolean or float, [run] keys strings unless in RUN_INT."""
+    if key in SEARCH_BOOL:
+        return ini.getboolean(section, key)
+    if key in SEARCH_FLOAT:
+        return ini.getfloat(section, key)
+    if section == "search" or key in RUN_INT:
+        return ini.getint(section, key)
+    return ini.get(section, key)
+
+
 def load_ini(path: Optional[str]) -> Optional[configparser.ConfigParser]:
-    """The INI file at path; a section other than [run] and [search], or a
-    key its section does not take, is an error."""
+    """The INI file at path; a file that does not parse as INI, a section
+    other than [run] and [search], a key its section does not take, or a
+    value that does not parse as its key's type is an error."""
     if path is None:
         return None
     ini = configparser.ConfigParser()
-    read = ini.read(path)
+    try:
+        read = ini.read(path, encoding="utf-8")
+    except (configparser.Error, ValueError) as exc:  # ValueError: UTF-8
+        raise InvalidArgumentError(f"{path}: not an INI file: {exc}") from None
     if not read:
         raise InvalidArgumentError(f"config file not found: {path}")
     sections = _ini_keys()
@@ -162,6 +179,12 @@ def load_ini(path: Optional[str]) -> Optional[configparser.ConfigParser]:
                         f"{path}: unknown key {key!r} in [{section}], "
                         f"expected one of {', '.join(sorted(keys))}"
                     )
+                try:
+                    _read(ini, section, key)
+                except (configparser.Error, ValueError) as exc:
+                    raise InvalidArgumentError(
+                        f"{path}: bad value for {key!r} in [{section}]: {exc}"
+                    ) from None
     return ini
 
 
@@ -169,14 +192,13 @@ def _opt(
     args: argparse.Namespace,
     ini: Optional[configparser.ConfigParser],
     key: str,
-    parse: Callable[[str], Any],
     default: Any,
 ) -> Any:
     value = getattr(args, key, None)
     if value is not None:
         return value
     if ini is not None and ini.has_option("run", key):
-        return parse(ini.get("run", key))
+        return _read(ini, "run", key)
     return default
 
 
@@ -192,19 +214,23 @@ def build_search_values(
         if cli_value is not None:
             values[name] = cli_value
         elif ini is not None and ini.has_option("search", ini_key):
-            if name in SEARCH_BOOL:
-                values[name] = ini.getboolean("search", ini_key)
-            elif name in SEARCH_FLOAT:
-                values[name] = ini.getfloat("search", ini_key)
-            else:
-                values[name] = ini.getint("search", ini_key)
+            values[name] = _read(ini, "search", ini_key)
     return values
 
 
 def load_script(path: str | Path) -> tuple[dict[tuple[str, int, int], str], str]:
-    """Scripted backend table from JSON: "digest:temp_millis:index" -> text."""
+    """Scripted backend table from a JSON object of
+    "digest:temp_millis:index" -> text entries; "__default__" -> text
+    answers the keys it lacks."""
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except ValueError as exc:  # JSON, UTF-8
+            raise InvalidArgumentError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise InvalidArgumentError(f"{path}: expected a JSON object of script entries")
+    if not all(isinstance(text, str) for text in data.values()):
+        raise InvalidArgumentError(f"{path}: every script entry must be text")
     default = data.pop("__default__", "")
     script: dict[tuple[str, int, int], str] = {}
     for key, text in data.items():
@@ -212,7 +238,7 @@ def load_script(path: str | Path) -> tuple[dict[tuple[str, int, int], str], str]
             digest, tq, index = key.rsplit(":", 2)
             script[(digest, int(tq), int(index))] = text
         except ValueError:
-            raise InvalidArgumentError(f"bad script key {key!r}")
+            raise InvalidArgumentError(f"{path}: bad script key {key!r}") from None
     return script, default
 
 
@@ -234,24 +260,24 @@ class _Invocation:
 
 def _setup(args: argparse.Namespace, id_suffix: str = "") -> _Invocation:
     ini = load_ini(args.config)
-    task_name = _opt(args, ini, "task", str, None)
+    task_name = _opt(args, ini, "task", None)
     if task_name is None:
         raise InvalidArgumentError("--task is required (or set task in the config)")
     if task_name not in TASK_NAMES:
         raise InvalidArgumentError(f"unknown task {task_name!r}")
-    method = _opt(args, ini, "method", str, TASK_DEFAULT_METHOD[task_name])
-    seed = _opt(args, ini, "seed", int, 0)
-    episodes = _opt(args, ini, "episodes", int, None)
-    start = _opt(args, ini, "start", int, 0)
-    jobs = _opt(args, ini, "jobs", int, 1)
-    fmt = _opt(args, ini, "format", str, "csv")
-    records = _opt(args, ini, "records", str, None)
-    cache_dir = _opt(args, ini, "cache_dir", str, None)
-    out = _opt(args, ini, "out", str, None)
-    out_dir = _opt(args, ini, "out_dir", str, None)
-    dataset = _opt(args, ini, "dataset", str, None)
+    method = _opt(args, ini, "method", TASK_DEFAULT_METHOD[task_name])
+    seed = _opt(args, ini, "seed", 0)
+    episodes = _opt(args, ini, "episodes", None)
+    start = _opt(args, ini, "start", 0)
+    jobs = _opt(args, ini, "jobs", 1)
+    fmt = _opt(args, ini, "format", "csv")
+    records = _opt(args, ini, "records", None)
+    cache_dir = _opt(args, ini, "cache_dir", None)
+    out = _opt(args, ini, "out", None)
+    out_dir = _opt(args, ini, "out_dir", None)
+    dataset = _opt(args, ini, "dataset", None)
     synthetic = task_name == "synthetic"
-    backend_kind = _opt(args, ini, "backend", str, "synthetic" if synthetic else "http")
+    backend_kind = _opt(args, ini, "backend", "synthetic" if synthetic else "http")
     if start < 0:
         raise InvalidArgumentError("start must be >= 0")
     if episodes is not None and episodes <= 0:
@@ -271,7 +297,7 @@ def _setup(args: argparse.Namespace, id_suffix: str = "") -> _Invocation:
 
     values = build_search_values(args, ini)
     if synthetic:
-        depth = _opt(args, ini, "depth", int, 3)
+        depth = _opt(args, ini, "depth", 3)
         values.setdefault("T", depth)
         benchmark = build_trap_benchmark(depth=depth)
         task, problems, factory = synthetic_setup(benchmark, episodes or 100)
@@ -289,7 +315,7 @@ def _setup(args: argparse.Namespace, id_suffix: str = "") -> _Invocation:
     values["seed"] = seed
     config = dataclasses.replace(SearchConfig(), **values)
 
-    run_id = _opt(args, ini, "run_id", str, "") or (
+    run_id = _opt(args, ini, "run_id", "") or (
         default_run_id(task_name, method, config) + id_suffix
     )
     out_path = Path(out_dir) if out_dir else None
@@ -340,12 +366,12 @@ def _build_backend(
 ) -> Backend:
     if kind == "http":
         return HttpBackend(
-            base_url=_opt(args, ini, "api_base", str, None),
-            api_key=_opt(args, ini, "api_key", str, None),
-            model=_opt(args, ini, "model", str, None),
+            base_url=_opt(args, ini, "api_base", None),
+            api_key=_opt(args, ini, "api_key", None),
+            model=_opt(args, ini, "model", None),
         )
     if kind == "scripted":
-        script_path = _opt(args, ini, "script", str, None)
+        script_path = _opt(args, ini, "script", None)
         if script_path is None:
             raise InvalidArgumentError("--script is required for the scripted backend")
         script, default = load_script(script_path)

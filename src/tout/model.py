@@ -143,17 +143,6 @@ def extend_state(store: StateStore, parent: State, thought: str) -> State:
     )
 
 
-def path_to_root(state: State, store: StateStore) -> list[State]:
-    """Root-first list of states from the root down to ``state``."""
-    path = [state]
-    current = state
-    while current.parent_id is not None:
-        current = store.get(current.parent_id)
-        path.append(current)
-    path.reverse()
-    return path
-
-
 @dataclass
 class SearchConfig:
     """Shared knobs for the search loops and the value estimator.

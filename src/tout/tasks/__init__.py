@@ -8,36 +8,19 @@ from typing import Any
 
 from ..model import InvalidArgumentError, TaskSpec
 from .crosswords import (
-    Board,
-    CrosswordPuzzle,
     CrosswordsTask,
-    WordThought,
-    apply_thought,
     clues_text,
     load_crosswords_json,
     parse_crossword_puzzle,
-    parse_puzzle_file,
-    score_board,
 )
 from .game24 import (
-    Expression,
     Game24Task,
-    Puzzle24,
     brute_force_solvable,
-    canonical_equation,
     check_solution,
-    eval_expression,
-    evaluate_expression,
-    format_expression,
     load_game24_csv,
-    parse_expression,
     solution_verdicts,
 )
-from .synthetic import (
-    SyntheticTreeTask,
-    TrapBenchmark,
-    build_trap_benchmark,
-)
+from .synthetic import SyntheticTreeTask, build_trap_benchmark
 
 TASK_NAMES = ("game24", "crosswords", "synthetic")
 
@@ -91,33 +74,18 @@ def load_problems(task_name: str, path: str | Path) -> list[Problem]:
 
 
 __all__ = [
-    "Board",
-    "CrosswordPuzzle",
     "CrosswordsTask",
-    "Expression",
     "Game24Task",
     "Problem",
-    "Puzzle24",
-    "SyntheticTreeTask",
-    "TrapBenchmark",
     "TASK_NAMES",
-    "WordThought",
-    "apply_thought",
     "brute_force_solvable",
     "build_trap_benchmark",
-    "canonical_equation",
     "check_solution",
     "clues_text",
-    "eval_expression",
-    "evaluate_expression",
-    "format_expression",
     "load_crosswords_json",
     "load_game24_csv",
     "load_problems",
     "make_task",
     "parse_crossword_puzzle",
-    "parse_expression",
-    "parse_puzzle_file",
-    "score_board",
     "solution_verdicts",
 ]

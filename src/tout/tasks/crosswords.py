@@ -353,7 +353,10 @@ def parse_puzzle_file(text: str) -> list[CrosswordPuzzle]:
 
     Validation failures name the offending puzzle by its array index.
     """
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"not JSON: {exc}") from None
     objects = data if isinstance(data, list) else [data]
     puzzles: list[CrosswordPuzzle] = []
     for index, obj in enumerate(objects):
@@ -367,8 +370,12 @@ def parse_puzzle_file(text: str) -> list[CrosswordPuzzle]:
 
 
 def load_crosswords_json(path: str | Path) -> list[CrosswordPuzzle]:
+    """Puzzles from a JSON file (see parse_puzzle_file); errors name it."""
     with open(path, encoding="utf-8") as handle:
-        return parse_puzzle_file(handle.read())
+        try:
+            return parse_puzzle_file(handle.read())
+        except ValueError as exc:  # UTF-8, InvalidArgumentError
+            raise InvalidArgumentError(f"{path}: {exc}") from None
 
 
 def clues_text(puzzle: CrosswordPuzzle) -> str:

@@ -515,6 +515,11 @@ def load_game24_csv(path: str | Path) -> list[Puzzle24]:
                 f"{path}: expected CSV header with rank,puzzle columns"
             )
         for row in reader:
-            numbers = tuple(parse_puzzle(row["puzzle"]))
-            problems.append(Puzzle24(numbers=numbers, index=int(row["rank"])))
+            try:  # a short row reads its missing fields as None
+                numbers = tuple(parse_puzzle(row["puzzle"] or ""))
+                problems.append(Puzzle24(numbers=numbers, index=int(row["rank"] or "")))
+            except ValueError as exc:
+                raise InvalidArgumentError(
+                    f"{path}, line {reader.line_num}: {exc}"
+                ) from None
     return problems

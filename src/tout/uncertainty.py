@@ -11,7 +11,6 @@ keeps u but scores by value alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .backends import (
@@ -69,34 +68,6 @@ def confidence_score(value: float, uncertainty: float, epsilon: float) -> float:
     if uncertainty < 0:
         raise InvalidArgumentError("uncertainty must be >= 0")
     return value / (uncertainty + epsilon)
-
-
-@dataclass(frozen=True)
-class UncertaintyEstimate:
-    """v, u and v/(u+eps) for one batch of sampled values."""
-
-    value: float
-    uncertainty: float
-    score: float
-    samples: tuple[float, ...]
-    temperatures: tuple[float, ...] = ()
-
-
-def estimate_uncertainty(
-    samples: Sequence[float],
-    epsilon: float,
-    temperatures: Sequence[float] = (),
-) -> UncertaintyEstimate:
-    """Fold one sample batch into the value/uncertainty/score triple."""
-    value = aggregate_value(samples)
-    uncertainty = variance(samples)
-    return UncertaintyEstimate(
-        value=value,
-        uncertainty=uncertainty,
-        score=confidence_score(value, uncertainty, epsilon),
-        samples=tuple(samples),
-        temperatures=tuple(temperatures),
-    )
 
 
 def _schedule(config: SearchConfig) -> list[float]:

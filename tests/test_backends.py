@@ -20,6 +20,7 @@ import socketserver
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -30,6 +31,7 @@ from hypothesis import given, strategies as st
 
 import tout
 from tout.backends import (
+    Backend,
     BackendRequest,
     BackendResponse,
     HttpBackend,
@@ -421,6 +423,18 @@ class TestHttpBackend:
         assert len(endpoint.calls) == 3
         assert err.value.last_status == 200
 
+    def test_usage_that_is_not_an_object_is_dropped(self, endpoint, tmp_path):
+        # the cache reads an entry whose usage is not an object as damaged,
+        # so keeping it would reissue the request on every read
+        body = {"choices": [{"message": {"content": "hi"}}], "usage": "n/a"}
+        endpoint.reply((200, {}, json.dumps(body)))
+        backend, cache = endpoint.client(), ResponseCache(tmp_path)
+        request = BackendRequest(prompt="p", temperature=0.5)
+        first = cached_generate(cache, backend, request)
+        second = cached_generate(cache, backend, request)
+        assert first == second == BackendResponse(completions=("hi",))
+        assert len(endpoint.calls) == 1
+
     def test_executor_is_shared_and_as_wide_as_max_in_flight(self, endpoint):
         backend = endpoint.client(max_in_flight=3)
         pool = backend.executor()
@@ -519,6 +533,72 @@ class TestHttpTransport:
         monkeypatch.setenv("no_proxy", "127.0.0.1")
         assert endpoint.client().generate(request).completions == ("direct",)
         assert len(connect_proxy.tunnels) == 1
+
+
+class _OracleHandler(BaseHTTPRequestHandler):
+    """Holds each request about 20 ms, then answers it from the server's
+    in-process oracle; counts the requests in its hands at once."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def do_POST(self):
+        server = self.server
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with server.lock:
+            server.active += 1
+            server.peak = max(server.peak, server.active)
+        try:
+            time.sleep(0.02)
+            response = server.oracle.generate(body_to_request(body))
+        finally:
+            # before the reply, so a client's next request never overlaps it
+            with server.lock:
+                server.active -= 1
+        choices = [{"message": {"content": text}} for text in response.completions]
+        data = json.dumps({"choices": choices}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestRequestPool:
+    def test_pool_bounds_requests_across_jobs(self, monkeypatch):
+        for name in _PROXY_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        bench = build_trap_benchmark(depth=2)
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _OracleHandler)
+        server.daemon_threads = True
+        server.lock, server.active, server.peak = threading.Lock(), 0, 0
+        server.oracle = bench.backend(0)
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        backend = HttpBackend(
+            base_url=f"http://127.0.0.1:{server.server_port}", model="m1",
+            backoff_s=0.0, max_in_flight=2,
+        )
+        try:
+            task, problems, _ = synthetic_setup(bench, episodes=6)
+            report = run_benchmark(
+                task, problems, "tout_bfs", lambda seed: backend,
+                SearchConfig(k=2, b=1, T=2, m=4), jobs=3,
+            )
+        finally:
+            backend.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert len(report.results) == 6
+        for result in report.results:
+            assert result.verdicts.get("backend_error") != 1.0
+            assert result.verdicts.get("error") != 1.0
+        # the propose and value requests of three episodes at once, never
+        # more than the pool's width of them on the wire
+        assert 1 <= server.peak <= 2
 
 
 class TestSyntheticOracle:
@@ -623,7 +703,7 @@ class TestImportFootprint:
         assert done.stdout.split() == ["False", "True", "True"]
 
 
-class _CountingBackend:
+class _CountingBackend(Backend):
     backend_id = "counting"
 
     def __init__(self):

@@ -17,6 +17,7 @@ from dataclasses import replace
 import pytest
 
 from helpers import EpisodeScript
+from tout.backends import Backend
 from tout.cli import build_search_values, load_ini, load_script, main
 from tout.harness import default_run_id
 from tout.model import BackendUnavailableError, InvalidArgumentError, SearchConfig
@@ -318,7 +319,7 @@ class TestRunErrors:
         assert "error:" in capsys.readouterr().err
 
     def test_backend_outage_exits_one(self, tmp_path, monkeypatch, capsys):
-        class _Down:
+        class _Down(Backend):
             def __init__(self, **kwargs):
                 pass
 
@@ -331,6 +332,56 @@ class TestRunErrors:
                 "--method", "io"]
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
+
+
+# Input files that do not parse: (file name, text, what it feeds: the config,
+# the script or the named task's dataset, message).
+BAD_FILES = [
+    pytest.param("run.ini", "task = synthetic\n", "config", "not an INI file",
+                 id="ini-no-section-header"),
+    pytest.param("run.ini", "[search]\nm = 4\n[search]\nk = 2\n", "config",
+                 "not an INI file", id="ini-duplicate-section"),
+    pytest.param("run.ini", "[search]\nm = four\n", "config",
+                 "bad value for 'm' in [search]", id="ini-m-not-an-integer"),
+    pytest.param("run.ini", "[search]\nluq_enabled = maybe\n", "config",
+                 "bad value for 'luq_enabled' in [search]", id="ini-not-a-boolean"),
+    pytest.param("run.ini", "[run]\nepisodes = two\n", "config",
+                 "bad value for 'episodes' in [run]", id="ini-episodes-not-an-integer"),
+    pytest.param("script.json", "{not json", "script", "not JSON",
+                 id="script-not-json"),
+    pytest.param("script.json", '["a", "b"]', "script", "expected a JSON object",
+                 id="script-a-list"),
+    pytest.param("script.json", '{"__default__": 3}', "script", "must be text",
+                 id="script-entry-not-text"),
+    pytest.param("mini.json", "clues: none", "crosswords", "not JSON",
+                 id="crosswords-dataset-not-json"),
+    pytest.param("puzzles.csv", "rank,puzzle\nx,4 9 10 13\n", "game24", "line 2",
+                 id="game24-rank-not-an-integer"),
+    pytest.param("puzzles.csv", "rank,puzzle\n1,4 9 10 13\n2\n", "game24",
+                 "line 3", id="game24-short-row"),
+]
+
+
+class TestBadInputFiles:
+    """A file that does not parse is a usage error naming the file, not a
+    traceback."""
+
+    @pytest.mark.parametrize("name, text, role, message", BAD_FILES)
+    def test_exit_two_naming_the_file(self, tmp_path, capsys, name, text, role, message):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        if role == "config":
+            argv = synthetic_argv("--config", str(path))
+        elif role == "script":
+            dataset = write_game24_csv(tmp_path, [(1, "4 9 10 13")])
+            argv = ["run", "--task", "game24", "--dataset", str(dataset),
+                    "--method", "io", "--backend", "scripted", "--script", str(path)]
+        else:
+            argv = ["run", "--task", role, "--dataset", str(path),
+                    "--backend", "scripted", "--script", "unused"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and message in err
 
 
 class TestScriptedRun:

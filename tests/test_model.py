@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, strategies as st
 
 from tout.model import (
     RECORD_EVENT_KINDS,
@@ -19,7 +18,6 @@ from tout.model import (
     StateStore,
     Transcript,
     extend_state,
-    path_to_root,
 )
 
 
@@ -66,18 +64,6 @@ class TestStateStore:
     def test_depth_must_match_thoughts(self):
         with pytest.raises(InvalidArgumentError):
             State(input="x", thoughts=("a",), depth=2, id=0)
-
-
-@given(st.lists(st.text(min_size=1, max_size=10), min_size=0, max_size=6))
-def test_path_to_root_recovers_the_chain(thoughts):
-    store = StateStore()
-    node = store.root("problem")
-    for t in thoughts:
-        node = extend_state(store, node, t)
-    path = path_to_root(node, store)
-    assert [s.depth for s in path] == list(range(len(thoughts) + 1))
-    assert path[-1] is node
-    assert list(path[-1].thoughts) == thoughts
 
 
 class TestSearchConfig:

@@ -27,7 +27,6 @@ from tout import (
     Transcript,
     aggregate_value,
     confidence_score,
-    estimate_uncertainty,
     evaluate_state,
     temperature_schedule,
     variance,
@@ -174,15 +173,6 @@ def test_schedule_shape(m):
     assert sched[0] == 0.2
     if m > 1:
         assert abs(sched[-1] - 1.0) <= EXACT
-
-
-@given(sample_lists)
-def test_estimate_uncertainty_bundles_the_triple(samples):
-    est = estimate_uncertainty(samples, 1e-6)
-    assert est.value == aggregate_value(samples)
-    assert est.uncertainty == variance(samples)
-    assert est.score == confidence_score(est.value, est.uncertainty, 1e-6)
-    assert est.samples == tuple(samples)
 
 
 def _scored(config, texts, task_name="game24", problem="4 5 6 10"):
