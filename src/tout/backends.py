@@ -509,6 +509,10 @@ class ResponseCache:
     and cached_generate_many also read a hit with other than ``request.n``
     completions as a logged miss, reissue the request and overwrite the
     entry.
+
+    cache_key is the key of one draw. cached_generate_many builds a batch's
+    keys with batch_keys, which computes each distinct prompt's digest and
+    key prefix once per batch; the keys are the same bytes.
     """
 
     def __init__(self, cache_dir: str | Path, enabled: bool = True):
@@ -539,6 +543,34 @@ class ResponseCache:
             ]
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    @staticmethod
+    def batch_keys(
+        backend_id: str, draws: Sequence[tuple[BackendRequest, int]]
+    ) -> list[str]:
+        """cache_key of each (request, batch index) draw, in order.
+
+        The digest and the JSON-encoded ``[backend_id,digest`` prefix of each
+        distinct prompt are built once for the call; per draw only the tail
+        is formatted and the whole hashed. A draw whose tail holds anything
+        but plain ints (a bool n, say) is keyed by cache_key itself.
+        """
+        prefixes: dict[str, str] = {}
+        keys: list[str] = []
+        for request, batch_index in draws:
+            t = quantize_temperature(request.temperature)
+            n, max_tokens, stop = request.n, request.max_tokens, request.stop
+            if not (type(t) is type(n) is type(max_tokens) is type(batch_index) is int):
+                keys.append(ResponseCache.cache_key(backend_id, request, batch_index))
+                continue
+            prefix = prefixes.get(request.prompt)
+            if prefix is None:
+                head = [backend_id, prompt_digest(request.prompt)]
+                prefix = prefixes[request.prompt] = _KEY_ENCODER.encode(head)[:-1]
+            stop_json = _KEY_ENCODER.encode(list(stop)) if stop else "null"
+            payload = f"{prefix},{t},{n},{max_tokens},{stop_json},{batch_index}]"
+            keys.append(hashlib.sha256(payload.encode("utf-8")).hexdigest())
+        return keys
 
     def _path(self, key: str) -> str:
         return f"{self._prefix}{key}.json"
@@ -657,25 +689,20 @@ def cached_generate_many(
     consumer closes the stream, the draws that have not started are
     cancelled.
     """
+    keys: list[str] = []
+    if cache is not None and cache.enabled:
+        keys = ResponseCache.batch_keys(backend.backend_id, draws)
     if backend.max_in_flight <= 1:
-        for request, batch_index in draws:
-            key, response = None, None
-            if cache is not None and cache.enabled:
-                key = ResponseCache.cache_key(backend.backend_id, request, batch_index)
-                response = _lookup(cache, key, request)
+        for i, (request, _) in enumerate(draws):
+            response = _lookup(cache, keys[i], request) if keys else None
             if response is None:
                 response = generate(backend, request, transcript)
-                if key is not None:
-                    cache.put(key, response)
+                if keys:
+                    cache.put(keys[i], response)
             yield response
         return
-    keys: list[str] = []
     responses: list[Optional[BackendResponse]] = [None] * len(draws)
-    if cache is not None and cache.enabled:
-        keys = [
-            ResponseCache.cache_key(backend.backend_id, request, batch_index)
-            for request, batch_index in draws
-        ]
+    if keys:
         responses = [
             _lookup(cache, key, request) for key, (request, _) in zip(keys, draws)
         ]

@@ -155,10 +155,11 @@ def _read(ini: configparser.ConfigParser, section: str, key: str) -> Any:
 def load_ini(path: Optional[str]) -> Optional[configparser.ConfigParser]:
     """The INI file at path; a file that does not parse as INI, a section
     other than [run] and [search], a key its section does not take, or a
-    value that does not parse as its key's type is an error."""
+    value that does not parse as its key's type is an error. Values are
+    read verbatim: ``%`` is not an interpolation character."""
     if path is None:
         return None
-    ini = configparser.ConfigParser()
+    ini = configparser.ConfigParser(interpolation=None)
     try:
         read = ini.read(path, encoding="utf-8")
     except (configparser.Error, ValueError) as exc:  # ValueError: UTF-8

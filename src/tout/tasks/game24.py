@@ -347,25 +347,49 @@ def format_number(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# a number of a step line: an integer or a/b, numerator and denominator
+# captured apart so no string goes through Fraction's parser
+_NUMBER = re.compile(r"(-?\d+)(?:/(\d+))?")
 _STEP = re.compile(
-    r"^\s*(-?\d+(?:/\d+)?)\s*([-+*/])\s*(-?\d+(?:/\d+)?)\s*=\s*"
-    r"(-?\d+(?:/\d+)?)\s*\(left:\s*([^)]*)\)\s*$"
+    rf"^\s*{_NUMBER.pattern}\s*([-+*/])\s*{_NUMBER.pattern}\s*=\s*"
+    rf"{_NUMBER.pattern}\s*\(left:\s*([^)]*)\)\s*$"
 )
+
+
+def _fraction(numerator: str, denominator: Optional[str]) -> Fraction:
+    if denominator is None:
+        return Fraction(int(numerator))
+    return Fraction(int(numerator), int(denominator))
+
+
+def _left_number(token: str) -> Fraction:
+    """A ``left:`` token as Fraction(token) reads it; any other spelling
+    (1.5, +3, 1e3) still goes through that parser, so it accepts the same."""
+    match = _NUMBER.fullmatch(token)
+    if match is None:
+        return Fraction(token)
+    return _fraction(*match.groups())
 
 
 def parse_step(line: str) -> Optional[tuple[Fraction, str, Fraction, Fraction, list[Fraction]]]:
     match = _STEP.match(line)
     if match is None:
         return None
+    a_num, a_den, op, b_num, b_den, c_num, c_den, left_text = match.groups()
     try:
-        a = Fraction(match.group(1))
-        op = match.group(2)
-        b = Fraction(match.group(3))
-        c = Fraction(match.group(4))
-        left = [Fraction(tok) for tok in match.group(5).split()]
+        a = _fraction(a_num, a_den)
+        b = _fraction(b_num, b_den)
+        c = _fraction(c_num, c_den)
+        left = [_left_number(tok) for tok in left_text.split()]
     except (ValueError, ZeroDivisionError):
         return None
     return a, op, b, c, left
+
+
+def _pairs(numbers: list[Fraction]) -> list[tuple[int, int]]:
+    """Sorted (numerator, denominator) pairs: the multiset as plain tuples,
+    compared without Fraction's Python-level ordering."""
+    return sorted([(n.numerator, n.denominator) for n in numbers])
 
 
 def apply_step(
@@ -382,16 +406,17 @@ def apply_step(
         return None
     a, op, b, c, left = parsed
     pool = list(numbers)
-    for operand in (a, b):
-        if operand not in pool:
-            return None
-        pool.remove(operand)
+    try:
+        pool.remove(a)
+        pool.remove(b)
+    except ValueError:  # an operand not in the multiset
+        return None
     if op == "/" and b == 0:
         return None
     if OPS[op](a, b) != c:
         return None
     pool.append(c)
-    if sorted(pool) != sorted(left):
+    if _pairs(pool) != _pairs(left):
         return None
     return left
 

@@ -785,6 +785,45 @@ class TestResponseCache:
         }
         assert len(keys) == 6
 
+    @given(
+        backend_id=st.one_of(
+            st.text(),
+            st.sampled_from(['b"1', "b\\1", "http:mod\u00e8le-\u2603", '\\"\u2028']),
+        ),
+        prompts=st.lists(
+            # short prompts over a few characters often share a length
+            st.one_of(st.text(), st.text(alphabet='ab"\\\u00e9\U0001f600', max_size=3)),
+            min_size=1,
+            max_size=3,
+        ),
+        data=st.data(),
+    )
+    def test_batch_keys_match_cache_key(self, backend_id, prompts, data):
+        stops = st.one_of(
+            st.none(),
+            st.just(()),
+            st.lists(st.sampled_from(['"', "\\", "\n", "\u2603", "a\"b"]), min_size=1)
+            .map(tuple),
+        )
+        draws = []
+        for _ in range(data.draw(st.integers(0, 12), label="draws")):
+            prompt = data.draw(st.sampled_from(prompts), label="prompt")
+            if data.draw(st.booleans(), label="copied"):
+                prompt = (prompt + "!")[:-1]  # equal, a distinct object if long
+            request = BackendRequest(
+                prompt=prompt,
+                temperature=data.draw(st.floats(0.0, 2.0), label="temperature"),
+                # True is an n: the encoder spells it true, not 1
+                n=data.draw(st.one_of(st.integers(min_value=1), st.just(True))),
+                max_tokens=data.draw(st.integers(min_value=1)),
+                stop=data.draw(stops, label="stop"),
+            )
+            draws.append((request, data.draw(st.integers(), label="batch index")))
+        assert ResponseCache.batch_keys(backend_id, draws) == [
+            ResponseCache.cache_key(backend_id, request, index)
+            for request, index in draws
+        ]
+
     def test_cached_generate_serves_repeat_from_disk(self, tmp_path):
         cache = ResponseCache(tmp_path)
         backend = _CountingBackend()

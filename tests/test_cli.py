@@ -115,6 +115,17 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "unknown section [serach]" in err and "run or search" in err
 
+    def test_percent_values_are_read_verbatim(self, tmp_path, capsys):
+        # an API key or a path may hold %; no interpolation happens
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\napi_key = a%b\nmodel = %(x)s\ncache_dir = c%%d\n")
+        ini = load_ini(str(path))
+        assert ini.get("run", "api_key") == "a%b"
+        assert ini.get("run", "model") == "%(x)s"
+        assert ini.get("run", "cache_dir") == "c%%d"
+        path.write_text("[run]\napi_key = a%b\n")
+        assert main(synthetic_argv("--config", str(path))) == 0, capsys.readouterr().err
+
     def test_run_and_search_flags_are_keys(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text(

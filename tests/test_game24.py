@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tout import Transcript
+from tout import InvalidArgumentError, Transcript
 from tout.tasks import make_task
 from tout.tasks.game24 import (
     BinOp,
@@ -30,6 +31,7 @@ from tout.tasks.game24 import (
     evaluate_expression,
     expression_literals,
     format_expression,
+    format_number,
     load_game24_csv,
     parse_expression,
     parse_puzzle,
@@ -292,6 +294,134 @@ class TestSteps:
     def test_apply_step_rejects_division_by_zero(self):
         numbers = [Fraction(n) for n in (4, 0, 6, 10)]
         assert apply_step(numbers, "4/0=0 (left: 0 6 10)") is None
+
+
+# The Fraction-based step code that parse_step/apply_step replaced, kept as
+# the reference they must agree with.
+_REFERENCE_STEP = re.compile(
+    r"^\s*(-?\d+(?:/\d+)?)\s*([-+*/])\s*(-?\d+(?:/\d+)?)\s*=\s*"
+    r"(-?\d+(?:/\d+)?)\s*\(left:\s*([^)]*)\)\s*$"
+)
+_REFERENCE_OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+}
+
+
+def reference_parse_step(line):
+    match = _REFERENCE_STEP.match(line)
+    if match is None:
+        return None
+    try:
+        a = Fraction(match.group(1))
+        op = match.group(2)
+        b = Fraction(match.group(3))
+        c = Fraction(match.group(4))
+        left = [Fraction(tok) for tok in match.group(5).split()]
+    except (ValueError, ZeroDivisionError):
+        return None
+    return a, op, b, c, left
+
+
+def reference_apply_step(numbers, line):
+    parsed = reference_parse_step(line)
+    if parsed is None:
+        return None
+    a, op, b, c, left = parsed
+    pool = list(numbers)
+    for operand in (a, b):
+        if operand not in pool:
+            return None
+        pool.remove(operand)
+    if op == "/" and b == 0:
+        return None
+    if _REFERENCE_OPS[op](a, b) != c:
+        return None
+    pool.append(c)
+    if sorted(pool) != sorted(left):
+        return None
+    return left
+
+
+# format_numberings Fraction reads but the step pattern does not, or reads oddly
+ODD_TOKENS = ["1.5", "+3", "3/0", "0/5", "-0", "\u0663", "1e3", "1_0", "007",
+              "2/4", "3/-4", "x", "\u00b2", "-2/6"]
+POOL = [Fraction(n) for n in (0, 1, 2, 3, 4, 6, 24)] + [Fraction(1, 2), Fraction(-3, 4)]
+
+
+@st.composite
+def step_lines(draw):
+    """(numbers, line): a step over numbers that is valid unless a part of it
+    is swapped for an odd token, a missing operand or a wrong leftover."""
+    numbers = draw(st.lists(st.sampled_from(POOL), min_size=2, max_size=4))
+    i, j = draw(st.permutations(range(len(numbers))))[:2]
+    a, b = numbers[i], numbers[j]
+    op = draw(st.sampled_from("+-*/"))
+    c = _REFERENCE_OPS[op](a, b) if op != "/" or b != 0 else Fraction(0)
+    left = [n for k, n in enumerate(numbers) if k not in (i, j)] + [c]
+    parts = [format_number(a), format_number(b), format_number(c)] + [format_number(n) for n in draw(st.permutations(left))]
+    others = st.one_of(st.sampled_from(ODD_TOKENS), st.sampled_from(POOL).map(format_number))
+    for k in draw(st.lists(st.integers(0, len(parts) - 1), max_size=2)):
+        parts[k] = draw(others)
+    count = draw(st.sampled_from(["right", "more", "fewer"]))  # leftover count
+    if count == "more":
+        parts.append(draw(others))
+    elif count == "fewer":
+        parts.pop()
+    space = draw(st.sampled_from(["", " ", "  "]))
+    head = f"{parts[0]}{space}{op}{space}{parts[1]}{space}={space}{parts[2]}"
+    return numbers, f"{head} (left: {' '.join(parts[3:])})"
+
+
+class TestStepsAgreeWithFractionParser:
+    @pytest.mark.parametrize("numbers, line", [
+        ((4, 5, 6, 10), "4+5=9 (left: 6 9 10)"),
+        ((4, 5, 6, 10), "4+5=9 (left: 6 9.0 1e1)"),
+        ((4, 5, 6, 10), "4+5=9 (left: +6 9 10)"),
+        ((4, 5, 6, 10), "4+5=9 (left: 6 18/2 \u0661\u0660)"),
+        ((3, 2, 6, 6), "3/2=3/2 (left: 1.5 6 6)"),
+        ((4, 4, 5, 6), "4*4=16 (left: 5 6 16)"),  # duplicate operands
+        ((4, 5, 6, 10), "4*4=16 (left: 5 6 10 16)"),  # one 4 only
+        ((4, 5, 6, 10), "4+5=9 (left: 6 9)"),  # wrong leftover
+        ((4, 5, 6, 10), "4+5=9 (left: 6 9 11)"),
+        ((4, 0, 6, 10), "4/0=0 (left: 0 6 10)"),
+        ((4, 0, 6, 10), "0/4=0/5 (left: -0 6 10)"),
+        ((4, 5, 6, 10), "4+5=9 (left: 6 9 3/0)"),
+        ((4, 5, 6, 10), "\u0664+5=9 (left: 6 9 10)"),
+    ])
+    def test_listed_lines(self, numbers, line):
+        numbers = [Fraction(n) for n in numbers]
+        assert parse_step(line) == reference_parse_step(line)
+        assert apply_step(numbers, line) == reference_apply_step(numbers, line)
+
+    @given(step_lines())
+    def test_generated_steps(self, case):
+        numbers, line = case
+        assert parse_step(line) == reference_parse_step(line)
+        assert apply_step(numbers, line) == reference_apply_step(numbers, line)
+
+    @given(st.text(alphabet="0123456789/+-*=. ()left:\u0663e_x"))
+    def test_any_text(self, line):
+        assert parse_step(line) == reference_parse_step(line)
+
+
+class TestCurrentNumbers:
+    def test_replays_every_thought(self):
+        task = make_task("game24")
+        state = make_state("4 5 6 10", ("4+5=9 (left: 6 9 10)", "10-6=4 (left: 4 9)"))
+        assert task.current_numbers(state) == [Fraction(4), Fraction(9)]
+
+    @pytest.mark.parametrize("thoughts", [
+        ("4+5=10 (left: 6 10 10)",),  # wrong arithmetic
+        ("3+5=8 (left: 4 6 8 10)",),  # 3 is not a puzzle number
+        ("4+5=9 (left: 6 9 10)", "4+6=10 (left: 9 10 10)"),  # 4 is used up
+    ])
+    def test_invalid_stored_thought_raises(self, thoughts):
+        task = make_task("game24")
+        with pytest.raises(InvalidArgumentError, match="stored thought is invalid"):
+            task.current_numbers(make_state("4 5 6 10", thoughts))
 
 
 class TestTaskAdapter:
