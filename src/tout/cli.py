@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -36,7 +37,6 @@ from .harness import (
 from .model import BackendUnavailableError, InvalidArgumentError, SearchConfig
 from .search import METHODS
 from .tasks import (
-    CrosswordsTask,
     TASK_NAMES,
     brute_force_solvable,
     build_trap_benchmark,
@@ -45,19 +45,14 @@ from .tasks import (
     load_game24_csv,
     load_problems,
     make_task,
-    solution_verdicts,
 )
+from .tasks.game24 import parse_puzzle
 
 TASK_DEFAULT_METHOD = {
     "game24": "tout_bfs",
     "crosswords": "tout_dfs",
     "synthetic": "tout_bfs",
 }
-TASK_DEFAULT_STEPS = {"game24": 3, "crosswords": 10}
-
-SEARCH_BOOL = ("luq_enabled", "ugs_enabled")
-SEARCH_FLOAT = ("t_min", "t_max", "v_th", "u_th", "epsilon")
-RUN_INT = ("episodes", "start", "seed", "jobs", "depth")
 
 
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
@@ -127,36 +122,49 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     _add_search_flags(parser)
 
 
-def _ini_keys() -> dict[str, set[str]]:
-    """Keys each INI section takes: [search] the search flags' dests (steps
-    for T), [run] the other run flags' dests."""
-    search, run = argparse.ArgumentParser(), argparse.ArgumentParser()
+@functools.cache
+def _ini_flags() -> dict[str, dict[str, argparse.Action]]:
+    """The flag behind each key of each INI section: [search] takes the
+    search flags by dest (steps for T), [run] the other run flags."""
+    search = argparse.ArgumentParser(add_help=False)
+    run = argparse.ArgumentParser(add_help=False)
     _add_search_flags(search)
     _add_run_flags(run)
-    search_keys = set(vars(search.parse_args([])))
+    not_run = {flag.dest for flag in search._actions} | {"config"}
     return {
-        "search": {"steps" if key == "T" else key for key in search_keys},
-        "run": set(vars(run.parse_args([]))) - search_keys - {"config"},
+        "search": {
+            "steps" if flag.dest == "T" else flag.dest: flag
+            for flag in search._actions
+        },
+        "run": {
+            flag.dest: flag
+            for flag in run._actions
+            if flag.dest not in not_run
+        },
     }
 
 
 def _read(ini: configparser.ConfigParser, section: str, key: str) -> Any:
-    """An INI value as its flag's type: [search] keys are integers unless
-    boolean or float, [run] keys strings unless in RUN_INT."""
-    if key in SEARCH_BOOL:
+    """An INI value parsed and checked as its flag parses the command line:
+    by its type and choices; --no-luq/--no-ugs keys are booleans."""
+    flag = _ini_flags()[section][key]
+    if flag.nargs == 0:
         return ini.getboolean(section, key)
-    if key in SEARCH_FLOAT:
-        return ini.getfloat(section, key)
-    if section == "search" or key in RUN_INT:
-        return ini.getint(section, key)
-    return ini.get(section, key)
+    value = ini.get(section, key)
+    if flag.type is not None:
+        value = flag.type(value)
+    if flag.choices is not None and value not in flag.choices:
+        raise ValueError(
+            f"unknown {key} {value!r}, expected one of {', '.join(flag.choices)}"
+        )
+    return value
 
 
 def load_ini(path: Optional[str]) -> Optional[configparser.ConfigParser]:
     """The INI file at path; a file that does not parse as INI, a section
     other than [run] and [search], a key its section does not take, or a
-    value that does not parse as its key's type is an error. Values are
-    read verbatim: ``%`` is not an interpolation character."""
+    value its flag rejects (see _read) is an error. Values are read
+    verbatim: ``%`` is not an interpolation character."""
     if path is None:
         return None
     ini = configparser.ConfigParser(interpolation=None)
@@ -166,7 +174,7 @@ def load_ini(path: Optional[str]) -> Optional[configparser.ConfigParser]:
         raise InvalidArgumentError(f"{path}: not an INI file: {exc}") from None
     if not read:
         raise InvalidArgumentError(f"config file not found: {path}")
-    sections = _ini_keys()
+    sections = _ini_flags()
     for section in ini.sections():
         if section not in sections:
             raise InvalidArgumentError(
@@ -208,14 +216,12 @@ def build_search_values(
 ) -> dict[str, Any]:
     """Explicit search settings from flags and the [search] INI section."""
     values: dict[str, Any] = {}
-    for field in dataclasses.fields(SearchConfig):
-        name = field.name
-        ini_key = "steps" if name == "T" else name
-        cli_value = getattr(args, name, None)
-        if cli_value is not None:
-            values[name] = cli_value
-        elif ini is not None and ini.has_option("search", ini_key):
-            values[name] = _read(ini, "search", ini_key)
+    for key, flag in _ini_flags()["search"].items():
+        value = getattr(args, flag.dest, None)
+        if value is None and ini is not None and ini.has_option("search", key):
+            value = _read(ini, "search", key)
+        if value is not None:
+            values[flag.dest] = value
     return values
 
 
@@ -264,8 +270,6 @@ def _setup(args: argparse.Namespace, id_suffix: str = "") -> _Invocation:
     task_name = _opt(args, ini, "task", None)
     if task_name is None:
         raise InvalidArgumentError("--task is required (or set task in the config)")
-    if task_name not in TASK_NAMES:
-        raise InvalidArgumentError(f"unknown task {task_name!r}")
     method = _opt(args, ini, "method", TASK_DEFAULT_METHOD[task_name])
     seed = _opt(args, ini, "seed", 0)
     episodes = _opt(args, ini, "episodes", None)
@@ -298,12 +302,9 @@ def _setup(args: argparse.Namespace, id_suffix: str = "") -> _Invocation:
 
     values = build_search_values(args, ini)
     if synthetic:
-        depth = _opt(args, ini, "depth", 3)
-        values.setdefault("T", depth)
-        benchmark = build_trap_benchmark(depth=depth)
+        benchmark = build_trap_benchmark(depth=_opt(args, ini, "depth", 3))
         task, problems, factory = synthetic_setup(benchmark, episodes or 100)
     else:
-        values.setdefault("T", TASK_DEFAULT_STEPS[task_name])
         if dataset is None:
             raise InvalidArgumentError(f"--dataset is required for task {task_name}")
         problems = load_problems(task_name, dataset)
@@ -313,6 +314,7 @@ def _setup(args: argparse.Namespace, id_suffix: str = "") -> _Invocation:
             raise InvalidArgumentError("no problems selected, check --start/--episodes")
         task = make_task(task_name)
         factory = _constant(_build_backend(backend_kind, args, ini))
+    values.setdefault("T", task.max_steps)
     values["seed"] = seed
     config = dataclasses.replace(SearchConfig(), **values)
 
@@ -371,13 +373,11 @@ def _build_backend(
             api_key=_opt(args, ini, "api_key", None),
             model=_opt(args, ini, "model", None),
         )
-    if kind == "scripted":
-        script_path = _opt(args, ini, "script", None)
-        if script_path is None:
-            raise InvalidArgumentError("--script is required for the scripted backend")
-        script, default = load_script(script_path)
-        return ScriptedBackend(script, default=default)
-    raise InvalidArgumentError(f"unknown backend {kind!r}")
+    script_path = _opt(args, ini, "script", None)  # kind is "scripted"
+    if script_path is None:
+        raise InvalidArgumentError("--script is required for the scripted backend")
+    script, default = load_script(script_path)
+    return ScriptedBackend(script, default=default)
 
 
 def _deliver(table: str, out: Optional[str]) -> None:
@@ -457,15 +457,16 @@ def cmd_check(args: argparse.Namespace) -> int:
         answer = Path(args.answer_file).read_text(encoding="utf-8")
 
     if args.task == "game24":
+        numbers = parse_puzzle(args.input)  # a malformed puzzle is a usage error
         if args.solve and answer is None:
-            witness = brute_force_solvable([int(t) for t in args.input.split()])
+            witness = brute_force_solvable(numbers)
             if witness is None:
                 print("unsolvable")
                 return 1
             print(witness)
             return 0
-        verdicts = solution_verdicts(answer, args.input)
-    elif args.task == "crosswords":
+        truth = args.input
+    else:
         puzzles = load_crosswords_json(args.input)
         if not (0 <= args.index < len(puzzles)):
             raise InvalidArgumentError(
@@ -473,11 +474,9 @@ def cmd_check(args: argparse.Namespace) -> int:
             )
         if answer is None:
             raise InvalidArgumentError("--solve does not apply to crosswords")
-        task = CrosswordsTask()
-        verdicts = task.check_success(answer, list(puzzles[args.index].answers))
-    else:
-        raise InvalidArgumentError("check supports game24 and crosswords")
+        truth = list(puzzles[args.index].answers)
 
+    verdicts = make_task(args.task).check_success(answer, truth)
     print(json.dumps(verdicts, sort_keys=True))
     return 0 if verdicts.get("success") == 1.0 else 1
 

@@ -19,6 +19,7 @@ import logging
 import math
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -252,6 +253,12 @@ def run_benchmark(
     check_method(method)  # a usage error, not an episode's fault
     if not problems:
         raise InvalidArgumentError("no episodes selected: the problem list is empty")
+    # records are keyed by problem id: a repeated id would resume from,
+    # and be scored by, another problem's record
+    counts = Counter(problem.problem_id for problem in problems)
+    repeated = sorted(pid for pid, count in counts.items() if count > 1)
+    if repeated:
+        raise InvalidArgumentError(f"problem ids repeat: {', '.join(repeated)}")
     if jobs < 1:
         raise InvalidArgumentError("jobs must be >= 1")
     base = replace(config, seed=run_seed)
@@ -428,46 +435,20 @@ def report_rows(reports: Sequence[BenchmarkReport]) -> list[ResultRow]:
 
 def emit_results(rows: Sequence[ResultRow], fmt: str = "csv") -> str:
     """Rows rendered as CSV or a markdown table, fixed column order."""
+    if fmt not in ("csv", "markdown"):
+        raise InvalidArgumentError(f"unknown format {fmt!r}, expected csv or markdown")
+    table = [RESULT_COLUMNS] + [
+        (row.method, str(row.m), str(row.b), row.metric, str(row.value),
+         str(row.episodes), f"{row.seconds:.3f}")
+        for row in rows
+    ]
     if fmt == "csv":
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.method,
-                    row.m,
-                    row.b,
-                    row.metric,
-                    str(row.value),
-                    row.episodes,
-                    f"{row.seconds:.3f}",
-                ]
-            )
+        csv.writer(buffer, lineterminator="\n").writerows(table)
         return buffer.getvalue()
-    if fmt == "markdown":
-        lines = [
-            "| " + " | ".join(RESULT_COLUMNS) + " |",
-            "| " + " | ".join("---" for _ in RESULT_COLUMNS) + " |",
-        ]
-        for row in rows:
-            lines.append(
-                "| "
-                + " | ".join(
-                    [
-                        row.method,
-                        str(row.m),
-                        str(row.b),
-                        row.metric,
-                        str(row.value),
-                        str(row.episodes),
-                        f"{row.seconds:.3f}",
-                    ]
-                )
-                + " |"
-            )
-        return "\n".join(lines) + "\n"
-    raise InvalidArgumentError(f"unknown format {fmt!r}, expected csv or markdown")
+    lines = ["| " + " | ".join(cells) + " |" for cells in table]
+    lines.insert(1, "| " + " | ".join("---" for _ in RESULT_COLUMNS) + " |")
+    return "\n".join(lines) + "\n"
 
 
 def two_proportion_z(

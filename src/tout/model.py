@@ -9,8 +9,10 @@ single search loop owns all writes to the state store.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass
-from typing import Any, Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 
 class InvalidArgumentError(ValueError):
@@ -267,6 +269,9 @@ class RunRecord:
     @classmethod
     def from_json(cls, line: str) -> "RunRecord":
         data = json.loads(line)
+        for key in ("config", "verdicts"):
+            if not isinstance(data[key], dict):
+                raise TypeError(f"{key} is not a JSON object")
         return cls(
             config=data["config"],
             task=data["task"],
@@ -275,6 +280,9 @@ class RunRecord:
             final_output=data["final_output"],
             verdicts=data["verdicts"],
         )
+
+
+_WORD = re.compile(r"[a-z]+")
 
 
 class TaskSpec:
@@ -290,6 +298,8 @@ class TaskSpec:
     name: str = "task"
     max_steps: int = 1
     min_value: float = 0.001
+    # the evaluator's value labels (ToT's sure/likely/impossible) and their values
+    value_map: Mapping[str, float] = MappingProxyType({})
 
     def propose_prompt(self, state: State, k: int) -> str:
         raise NotImplementedError
@@ -301,7 +311,12 @@ class TaskSpec:
         raise NotImplementedError
 
     def parse_value(self, text: str) -> float:
-        raise NotImplementedError
+        """The value of the last value_map label in the text, in any case,
+        or min_value when it has none."""
+        for word in reversed(_WORD.findall(text.lower())):
+            if word in self.value_map:
+                return self.value_map[word]
+        return self.min_value
 
     def is_terminal(self, state: State) -> bool:
         return state.depth >= self.max_steps

@@ -34,13 +34,13 @@ class Problem:
     truth: Any = None
 
 
-def make_task(name: str, **kwargs: Any) -> TaskSpec:
+def make_task(name: str) -> TaskSpec:
     if name == "game24":
-        return Game24Task(**kwargs)
+        return Game24Task()
     if name == "crosswords":
-        return CrosswordsTask(**kwargs)
+        return CrosswordsTask()
     if name == "synthetic":
-        return SyntheticTreeTask(**kwargs)
+        return SyntheticTreeTask()
     raise InvalidArgumentError(
         f"unknown task {name!r}, expected one of {', '.join(TASK_NAMES)}"
     )
@@ -61,14 +61,13 @@ def load_problems(task_name: str, path: str | Path) -> list[Problem]:
             for p in load_game24_csv(path)
         ]
     if task_name == "crosswords":
-        puzzles = load_crosswords_json(path)
         return [
             Problem(
-                problem_id=f"crosswords/{puzzle.id or i}",
+                problem_id=f"crosswords/{puzzle.id}",
                 input=clues_text(puzzle),
                 truth=list(puzzle.answers),
             )
-            for i, puzzle in enumerate(puzzles)
+            for puzzle in load_crosswords_json(path)
         ]
     raise InvalidArgumentError(f"no dataset loader for task {task_name!r}")
 

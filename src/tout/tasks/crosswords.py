@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Optional, Sequence
 
 from ..model import InvalidArgumentError, State, TaskSpec, best_path_from_events
@@ -40,14 +41,6 @@ class CrosswordPuzzle:
     answers: tuple[str, ...]
     id: str = ""
 
-    @property
-    def horizontal_clues(self) -> tuple[str, ...]:
-        return self.clues[:SIZE]
-
-    @property
-    def vertical_clues(self) -> tuple[str, ...]:
-        return self.clues[SIZE:]
-
     def answer_board(self) -> "Board":
         board = Board.empty()
         for slot, word in zip(SLOTS, self.answers):
@@ -55,10 +48,6 @@ class CrosswordPuzzle:
             assert placed is not None  # parse_crossword_puzzle verified crossings
             board = placed
         return board
-
-    @property
-    def solution(self) -> "Board":
-        return self.answer_board()
 
 
 def parse_crossword_puzzle(obj: dict[str, Any], puzzle_id: str = "") -> CrosswordPuzzle:
@@ -176,18 +165,13 @@ def parse_thought(line: str) -> Optional[WordThought]:
     return WordThought(slot=match.group(1).lower(), word=match.group(2).upper())
 
 
-def apply_thought(board: Board, thought: WordThought) -> Optional[Board]:
-    """Board with the word placed, or None when a filled cell disagrees."""
-    return board.place(thought.slot, thought.word)
-
-
 def board_from_thoughts(thoughts: tuple[str, ...]) -> Board:
     board = Board.empty()
     for text in thoughts:
         thought = parse_thought(text)
         if thought is None:
             raise InvalidArgumentError(f"stored thought is invalid: {text!r}")
-        placed = apply_thought(board, thought)
+        placed = board.place(thought.slot, thought.word)
         if placed is None:
             raise InvalidArgumentError(f"stored thought conflicts: {text!r}")
         board = placed
@@ -216,22 +200,16 @@ def score_board(
     return letters, words, game
 
 
-@dataclass
 class CrosswordsTask(TaskSpec):
     """Fill ten slots; the rendered board is the answer."""
 
-    name: str = "crosswords"
-    max_steps: int = 10
-    min_value: float = 0.001
-    value_map: dict[str, float] = field(
-        default_factory=lambda: {"sure": 20.0, "maybe": 1.0, "impossible": 0.001}
-    )
+    name = "crosswords"
+    max_steps = 10
+    min_value = 0.001
+    value_map = MappingProxyType({"sure": 20.0, "maybe": 1.0, "impossible": 0.001})
 
     def board(self, state: State) -> Board:
         return board_from_thoughts(state.thoughts)
-
-    def _clues_text(self, problem_input: str) -> str:
-        return problem_input.strip()
 
     def propose_prompt(self, state: State, k: int) -> str:
         board = self.board(state)
@@ -239,7 +217,7 @@ class CrosswordsTask(TaskSpec):
         return (
             "Solve the 5x5 crossword. Slots h1-h5 are rows, v1-v5 are columns.\n"
             "Clues:\n"
-            f"{self._clues_text(state.input)}\n"
+            f"{state.input.strip()}\n"
             "Current board:\n"
             f"{board.render()}\n"
             f"Open slots: {' '.join(open_slots)}\n"
@@ -257,7 +235,7 @@ class CrosswordsTask(TaskSpec):
                 continue
             if thought.slot in filled:
                 continue
-            if apply_thought(board, thought) is None:
+            if board.place(thought.slot, thought.word) is None:
                 continue  # contradicts letters already on the board
             proposals.append(str(thought))
         return proposals[:k]
@@ -269,19 +247,12 @@ class CrosswordsTask(TaskSpec):
             "completed so that every row and column is a real word fitting "
             "its clue.\n"
             "Clues:\n"
-            f"{self._clues_text(state.input)}\n"
+            f"{state.input.strip()}\n"
             "Current board:\n"
             f"{board.render()}\n"
             "Answer with exactly one word on the last line: "
             "sure, maybe, or impossible.\n"
         )
-
-    def parse_value(self, text: str) -> float:
-        words = re.findall(r"[a-z]+", text.lower())
-        for word in reversed(words):
-            if word in self.value_map:
-                return self.value_map[word]
-        return self.min_value
 
     def is_terminal(self, state: State) -> bool:
         if state.depth >= self.max_steps:
@@ -321,7 +292,7 @@ class CrosswordsTask(TaskSpec):
         return (
             "Solve the 5x5 crossword. Slots h1-h5 are rows, v1-v5 are columns.\n"
             "Clues:\n"
-            f"{self._clues_text(problem_input)}\n"
+            f"{problem_input.strip()}\n"
             "Respond with the finished board only: 5 lines of 5 letters.\n"
         )
 
@@ -329,7 +300,7 @@ class CrosswordsTask(TaskSpec):
         return (
             "Solve the 5x5 crossword. Slots h1-h5 are rows, v1-v5 are columns.\n"
             "Clues:\n"
-            f"{self._clues_text(problem_input)}\n"
+            f"{problem_input.strip()}\n"
             "Reason slot by slot, then finish with the board: "
             "5 lines of 5 letters.\n"
         )

@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Iterator, Optional, Sequence
 
 from ..model import InvalidArgumentError, State, TaskSpec, Transcript
@@ -421,16 +422,13 @@ def apply_step(
     return left
 
 
-@dataclass
 class Game24Task(TaskSpec):
     """Three combining steps, then one greedy expression composition."""
 
-    name: str = "game24"
-    max_steps: int = 3
-    min_value: float = 0.001
-    value_map: dict[str, float] = field(
-        default_factory=lambda: {"sure": 20.0, "likely": 1.0, "impossible": 0.001}
-    )
+    name = "game24"
+    max_steps = 3
+    min_value = 0.001
+    value_map = MappingProxyType({"sure": 20.0, "likely": 1.0, "impossible": 0.001})
 
     def current_numbers(self, state: State) -> list[Fraction]:
         numbers = [Fraction(n) for n in parse_puzzle(state.input)]
@@ -470,13 +468,6 @@ class Game24Task(TaskSpec):
             "Answer with exactly one word on the last line: "
             "sure, likely, or impossible.\n"
         )
-
-    def parse_value(self, text: str) -> float:
-        words = re.findall(r"[a-z]+", text.lower())
-        for word in reversed(words):
-            if word in self.value_map:
-                return self.value_map[word]
-        return self.min_value
 
     def check_success(self, output: str, truth: Any) -> dict[str, float]:
         return solution_verdicts(output, str(truth))

@@ -38,9 +38,9 @@ def state_key(state: State) -> str:
 class SyntheticTreeTask(TaskSpec):
     """Navigate a scripted tree by oracle values; output is the path taken."""
 
-    name: str = "synthetic"
+    name = "synthetic"
+    min_value = 0.0
     max_steps: int = 3
-    min_value: float = 0.0
 
     def propose_prompt(self, state: State, k: int) -> str:
         return f"PROPOSE {state_key(state)}"

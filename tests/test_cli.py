@@ -12,13 +12,13 @@ import configparser
 import csv
 import io
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from helpers import EpisodeScript
 from tout.backends import Backend
-from tout.cli import build_search_values, load_ini, load_script, main
+from tout.cli import build_parser, build_search_values, load_ini, load_script, main
 from tout.harness import default_run_id
 from tout.model import BackendUnavailableError, InvalidArgumentError, SearchConfig
 from tout.tasks import check_solution, make_task
@@ -138,6 +138,41 @@ class TestConfigFile:
         assert load_ini(str(path)) is not None
 
 
+# every SearchConfig field but seed (a run option): its flag, its [search]
+# line and the value both set
+SEARCH_SETTINGS = {
+    "k": (["--k", "7"], "k = 7", 7),
+    "b": (["--b", "2"], "b = 2", 2),
+    "T": (["--steps", "4"], "steps = 4", 4),
+    "m": (["--m", "9"], "m = 9", 9),
+    "t_min": (["--t-min", "0.3"], "t_min = 0.3", 0.3),
+    "t_max": (["--t-max", "1.5"], "t_max = 1.5", 1.5),
+    "v_th": (["--v-th", "0.7"], "v_th = 0.7", 0.7),
+    "u_th": (["--u-th", "2.5"], "u_th = 2.5", 2.5),
+    "epsilon": (["--epsilon", "0.01"], "epsilon = 0.01", 0.01),
+    "luq_enabled": (["--no-luq"], "luq_enabled = false", False),
+    "ugs_enabled": (["--no-ugs"], "ugs_enabled = false", False),
+    "max_outputs": (["--max-outputs", "5"], "max_outputs = 5", 5),
+    "eval_workers": (["--eval-workers", "3"], "eval_workers = 3", 3),
+}
+
+
+class TestSearchSettings:
+    def test_table_covers_every_search_field(self):
+        names = {field.name for field in fields(SearchConfig)}
+        assert set(SEARCH_SETTINGS) == names - {"seed"}
+
+    @pytest.mark.parametrize("field", sorted(SEARCH_SETTINGS))
+    def test_set_by_flag_and_by_ini(self, tmp_path, field):
+        argv, line, value = SEARCH_SETTINGS[field]
+        args = build_parser().parse_args(["run", *argv])
+        assert build_search_values(args, None) == {field: value}
+        path = tmp_path / "run.ini"
+        path.write_text(f"[search]\n{line}\n")
+        ini = load_ini(str(path))
+        assert build_search_values(argparse.Namespace(), ini) == {field: value}
+
+
 class TestScriptFile:
     def test_round_trip_with_default(self, tmp_path):
         path = tmp_path / "script.json"
@@ -240,6 +275,28 @@ class TestRunCommand:
         path.write_text("[run]\nformat = xml\n")
         assert main(synthetic_argv("--config", str(path))) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_format_from_ini_stops_before_any_episode(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        path = tmp_path / "run.ini"
+        path.write_text(f"[run]\nformat = xml\nrecords = {records}\n")
+        assert main(synthetic_argv("--config", str(path))) == 2
+        out, err = capsys.readouterr()
+        assert "unknown format 'xml', expected one of csv, markdown" in err
+        assert out == ""
+        assert not records.exists()
+
+    def test_repeated_problem_ids_rejected_before_any_episode(self, tmp_path, capsys):
+        dataset = write_game24_csv(tmp_path, [(1, "4 9 10 13"), (1, "1 1 1 1")])
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"__default__": ""}))
+        records = tmp_path / "records.jsonl"
+        argv = ["run", "--task", "game24", "--dataset", str(dataset),
+                "--backend", "scripted", "--script", str(script), "--method", "io",
+                "--records", str(records)]
+        assert main(argv) == 2
+        assert "problem ids repeat: game24/1" in capsys.readouterr().err
+        assert not records.exists()
 
 
 class TestGridCommands:
@@ -465,6 +522,18 @@ class TestCheckGame24:
 
     def test_input_required(self, capsys):
         assert main(["check", "--task", "game24", "--answer", "1+2"]) == 2
+
+    @pytest.mark.parametrize("puzzle, message", [
+        ("3 3 8 x", "must be integers"),
+        ("0 3 8 8", "must be positive"),
+        ("3 8 8", "needs 4 numbers, got 3"),
+    ])
+    @pytest.mark.parametrize("source", [["--solve"], ["--answer", "8/(3-8/3)"]])
+    def test_malformed_puzzle_is_a_usage_error(self, capsys, puzzle, message, source):
+        assert main(["check", "--task", "game24", "--input", puzzle, *source]) == 2
+        out, err = capsys.readouterr()
+        assert message in err
+        assert out == ""
 
     def test_some_answer_source_required(self, capsys):
         assert main(["check", "--task", "game24", "--input", "4 9 10 13"]) == 2

@@ -15,7 +15,6 @@ from tout.tasks.crosswords import (
     SLOTS,
     Board,
     WordThought,
-    apply_thought,
     board_from_thoughts,
     load_crosswords_json,
     parse_puzzle_file,
@@ -119,9 +118,9 @@ class TestThoughts:
 
     def test_apply_thought(self):
         board = Board.empty()
-        placed = apply_thought(board, WordThought("h1", "HEART"))
+        placed = board.place("h1", "HEART")
         assert placed is not None
-        assert apply_thought(placed, WordThought("v1", "TREND")) is None
+        assert placed.place("v1", "TREND") is None
 
     def test_board_from_thoughts(self):
         board = board_from_thoughts(("h1. HEART", "v1. HAPPY"))
@@ -196,8 +195,7 @@ class TestPuzzleFile:
         single = parse_puzzle_file(json.dumps(fixture_puzzle_json()))
         array = parse_puzzle_file(json.dumps([fixture_puzzle_json()] * 2))
         assert len(single) == 1 and len(array) == 2
-        assert single[0].horizontal_clues == CLUES[:5]
-        assert single[0].vertical_clues == CLUES[5:]
+        assert single[0].clues == CLUES
 
     def test_id_defaults_to_index(self):
         first, second = parse_puzzle_file(json.dumps([fixture_puzzle_json()] * 2))

@@ -201,6 +201,32 @@ class TestRunBenchmark:
         assert len(records) == 2
         assert "records.jsonl:2: skipping an unreadable record" in caplog.text
 
+    @pytest.mark.parametrize("field", ["config", "verdicts"])
+    def test_resume_skips_a_line_whose_field_is_not_an_object(
+        self, tmp_path, caplog, field
+    ):
+        task, problems, factory = quick_setup(episodes=2)
+        path = tmp_path / "records.jsonl"
+        run_benchmark(task, problems, "tout_bfs", factory, QUICK,
+                      record_path=path, run_seed=1)
+        first, second = path.read_text().splitlines(keepends=True)
+        bad = json.loads(first)
+        bad[field] = [bad[field]]
+        path.write_text(first + json.dumps(bad) + "\n" + second)
+        with caplog.at_level(logging.WARNING, logger="tout.harness"):
+            records = load_existing_records(path)
+        assert len(records) == 2
+        assert f"records.jsonl:2: skipping an unreadable record: {field}" in caplog.text
+
+    def test_repeated_problem_ids_error_before_running(self, tmp_path):
+        # both problems would resume from, and be scored by, one record
+        task, problems, factory = quick_setup(episodes=2)
+        path = tmp_path / "records.jsonl"
+        twins = [problems[0], replace(problems[1], problem_id=problems[0].problem_id)]
+        with pytest.raises(InvalidArgumentError, match="problem ids repeat: synthetic/0"):
+            run_benchmark(task, twins, "tout_bfs", factory, QUICK, record_path=path)
+        assert not path.exists()
+
     def test_empty_problem_list_errors_before_running(self):
         task, _, factory = quick_setup()
         with pytest.raises(InvalidArgumentError):

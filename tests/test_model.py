@@ -19,6 +19,7 @@ from tout.model import (
     Transcript,
     extend_state,
 )
+from tout.tasks import make_task
 
 
 class TestStateStore:
@@ -189,6 +190,35 @@ class TestRunRecord:
         assert "\n" not in line
         keys = list(json.loads(line))
         assert keys == sorted(keys)
+
+
+class TestParseValue:
+    """One decoder reads both tasks' value labels: the last label wins, in
+    any case; text with none of the task's labels reads min_value."""
+
+    @pytest.mark.parametrize("task_name, text, value", [
+        ("game24", "sure", 20.0),
+        ("game24", "likely", 1.0),
+        ("game24", "impossible", 0.001),
+        ("game24", "SURE", 20.0),
+        ("game24", "Likely.", 1.0),
+        ("game24", "sure at first, then ImPossible", 0.001),
+        ("game24", "maybe", 0.001),  # a crosswords label
+        ("game24", "no label here", 0.001),
+        ("game24", "", 0.001),
+        ("crosswords", "sure", 20.0),
+        ("crosswords", "maybe", 1.0),
+        ("crosswords", "impossible", 0.001),
+        ("crosswords", "Maybe\nSure!", 20.0),
+        ("crosswords", "likely", 0.001),  # a game24 label
+        ("crosswords", "no label here", 0.001),
+    ])
+    def test_labels(self, task_name, text, value):
+        assert make_task(task_name).parse_value(text) == value
+
+    def test_value_map_is_read_only(self):
+        with pytest.raises(TypeError):
+            make_task("game24").value_map["sure"] = 1.0
 
 
 def test_search_exhausted_error_carries_state():
