@@ -17,6 +17,7 @@ quantize temperature to 1e-3 rather than hashing raw floats).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -70,6 +71,9 @@ class BackendResponse:
     usage: Optional[dict[str, int]] = None
 
 
+# A state's m value draws share one prompt, and generate() digests the
+# prompt of every call it logs: the last few digests are kept.
+@functools.lru_cache(maxsize=64)
 def prompt_digest(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:16]
 
@@ -166,17 +170,39 @@ def _retry_after_s(value: Optional[str]) -> float:
     return seconds if math.isfinite(seconds) and seconds > 0 else 0.0
 
 
+def _completions_of(payload: dict[str, Any]) -> Optional[list[str]]:
+    """The texts of a chat-completions reply's choices, or None when the
+    choices have the wrong shape. A choice without a message, or with a
+    null content, is empty text."""
+    choices = payload.get("choices", [])
+    if not isinstance(choices, list):
+        return None
+    completions: list[str] = []
+    for choice in choices:
+        message = choice.get("message", {}) if isinstance(choice, dict) else None
+        if not isinstance(message, dict):
+            return None
+        content = message.get("content")
+        if content is None:
+            content = ""
+        elif not isinstance(content, str):
+            return None
+        completions.append(content)
+    return completions
+
+
 class HttpBackend(Backend):
     """Client for any OpenAI-compatible /v1/chat/completions endpoint.
 
     Batches n completions into a single request when the provider honors n;
     shortfalls are re-requested sequentially and, failing that, padded with
     empty text (logged, and counted in ``padded``). Transient failures,
-    including a 200 whose body is not a JSON object, retry with exponential
-    backoff before raising BackendUnavailableError with the last HTTP
-    status; a 429 whose Retry-After gives seconds waits at least that long,
-    unless it asks for more than ``backoff_s * 2**max_retries``, which fails
-    at once.
+    including a 200 whose body is not a JSON object or whose ``choices``
+    is not a list of objects with string or null ``message.content``,
+    retry with exponential backoff before raising BackendUnavailableError
+    with the last HTTP status; a 429 whose Retry-After gives seconds waits
+    at least that long, unless it asks for more than
+    ``backoff_s * 2**max_retries``, which fails at once.
 
     Requests go over the standard library's http.client: each thread keeps
     one keep-alive connection to the endpoint, opened on its first request
@@ -310,7 +336,10 @@ class HttpBackend(Backend):
                 if not (reused and stale):
                     raise
 
-    def _post(self, body: dict[str, Any]) -> dict[str, Any]:
+    def _post(
+        self, body: dict[str, Any]
+    ) -> tuple[list[str], Optional[dict[str, Any]]]:
+        """POST a request body: the completions and usage of the reply."""
         import http.client
 
         url = self.base_url + "/v1/chat/completions"
@@ -346,10 +375,17 @@ class HttpBackend(Backend):
                     payload = json.loads(text)
                 except ValueError:
                     payload = None
-                if isinstance(payload, dict):
-                    return payload
-                last_error = f"HTTP 200 without a JSON object: {text[:200]}"
-                continue
+                if not isinstance(payload, dict):
+                    last_error = f"HTTP 200 without a JSON object: {text[:200]}"
+                    continue
+                completions = _completions_of(payload)
+                if completions is None:
+                    last_error = f"HTTP 200 with wrong-shape choices: {text[:200]}"
+                    continue
+                usage = payload.get("usage")
+                if not isinstance(usage, dict):
+                    usage = None  # a cache entry with another usage reads as damaged
+                return completions, usage
             last_error = f"HTTP {status}: {text[:200]}"
             if status == 429:
                 retry_after = _retry_after_s(resp_headers.get("Retry-After"))
@@ -364,24 +400,15 @@ class HttpBackend(Backend):
             last_status=last_status,
         )
 
-    def _completions_of(self, payload: dict[str, Any]) -> list[str]:
-        return [
-            choice.get("message", {}).get("content") or ""
-            for choice in payload.get("choices", [])
-        ]
-
     def generate(self, request: BackendRequest) -> BackendResponse:
-        payload = self._post(request_to_body(request, self.model))
-        completions = self._completions_of(payload)[: request.n]
-        usage = payload.get("usage")
-        if not isinstance(usage, dict):
-            usage = None  # a cache entry with another usage reads as damaged
+        completions, usage = self._post(request_to_body(request, self.model))
+        completions = completions[: request.n]
         # Provider returned fewer than n choices: top up one at a time.
         while len(completions) < request.n:
             single = request_to_body(request, self.model)
             single["n"] = 1
             try:
-                extra = self._completions_of(self._post(single))
+                extra, _ = self._post(single)
             except BackendUnavailableError:
                 extra = []
             if extra:
@@ -430,6 +457,11 @@ def _key_seed(seed: int, key: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, key_hash]))
 
 
+# Normals drawn per refill of a key's buffer: one numpy call costs about as
+# much for 32 normals as for one, and a value draw usually takes one.
+_NORMAL_BLOCK = 32
+
+
 class SyntheticOracleBackend(Backend):
     """Noisy value oracle standing in for an LLM evaluator.
 
@@ -461,15 +493,24 @@ class SyntheticOracleBackend(Backend):
         # built, before any episode's clock starts, not on a draw
         import numpy  # noqa: F401
 
-        self._rngs: dict[str, np.random.Generator] = {}
+        # key -> (its generator, normals drawn from it and not yet served)
+        self._streams: dict[str, tuple[np.random.Generator, list[float]]] = {}
         self._lock = threading.Lock()
 
     def _next_draws(self, key: str, n: int) -> list[float]:
+        """The key's next n standard normals. They are drawn in blocks of at
+        least _NORMAL_BLOCK; numpy's Generator yields the same stream
+        whatever the block sizes."""
         with self._lock:
-            rng = self._rngs.get(key)
-            if rng is None:
-                rng = self._rngs[key] = _key_seed(self.seed, key)
-            return [float(g) for g in rng.standard_normal(n)]
+            stream = self._streams.get(key)
+            if stream is None:
+                stream = self._streams[key] = (_key_seed(self.seed, key), [])
+            rng, held = stream
+            if len(held) < n:
+                held += rng.standard_normal(max(n - len(held), _NORMAL_BLOCK)).tolist()
+            draws = held[:n]
+            del held[:n]
+        return draws
 
     def generate(self, request: BackendRequest) -> BackendResponse:
         prompt = request.prompt
@@ -478,8 +519,7 @@ class SyntheticOracleBackend(Backend):
             mu = self.true_value.get(key, 0.0)
             sigma = self.noise_std.get(key, 0.0)
             draws = self._next_draws(key, request.n)
-            completions = tuple(repr(mu + sigma * g) for g in draws)
-            return BackendResponse(completions=completions)
+            return BackendResponse(tuple([repr(mu + sigma * g) for g in draws]))
         if prompt.startswith("PROPOSE "):
             key = prompt[len("PROPOSE ") :].strip()
             listing = "\n".join(self.children.get(key, []))

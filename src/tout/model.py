@@ -268,10 +268,25 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "RunRecord":
+        """Parse one record line; a field of the wrong shape is a TypeError
+        that names it, so resume skips the line rather than crash on it."""
         data = json.loads(line)
         for key in ("config", "verdicts"):
             if not isinstance(data[key], dict):
                 raise TypeError(f"{key} is not a JSON object")
+        for key in ("task", "problem_id", "final_output"):
+            if not isinstance(data[key], str):
+                raise TypeError(f"{key} is not a string")
+        if not isinstance(data["config"].get("digest", ""), str):
+            raise TypeError("config.digest is not a string")
+        events = data["events"]
+        if not isinstance(events, list) or not all(
+            isinstance(event, dict) for event in events
+        ):
+            raise TypeError("events is not a list of JSON objects")
+        for name, value in data["verdicts"].items():
+            if type(value) not in (int, float):  # a bool is not a score
+                raise TypeError(f"verdict {name!r} is not a number")
         return cls(
             config=data["config"],
             task=data["task"],

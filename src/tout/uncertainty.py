@@ -89,10 +89,9 @@ def value_draws(
     one temperature are still distinct requests.
     """
     prompt = task.value_prompt(state)
-    return [
-        (BackendRequest(prompt=prompt, temperature=t, n=1), i)
-        for i, t in enumerate(_schedule(config))
-    ]
+    # positional arguments: a keyword call of a dataclass __init__ costs
+    # more, and this runs once per draw
+    return [(BackendRequest(prompt, t), i) for i, t in enumerate(_schedule(config))]
 
 
 def sample_values(

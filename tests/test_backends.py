@@ -9,6 +9,7 @@ is exercised without a network.
 from __future__ import annotations
 
 import base64
+import hashlib
 import http.client
 import json
 import logging
@@ -132,6 +133,22 @@ class TestGenerateWrapper:
         assert event["latency_ms"] >= 0.0
         assert event["prompt_digest"] == prompt_digest("p")
 
+    def test_event_digest_is_unchanged_by_a_memoised_hit(self):
+        # a state's draws share one prompt, whose digest is computed once
+        backend = ScriptedBackend({}, default="ok")
+        transcript = Transcript()
+        prompt = "VALUE digest-memo"
+        hits = prompt_digest.cache_info().hits
+        for temperature in (0.2, 0.6):
+            request = BackendRequest(prompt=prompt, temperature=temperature)
+            generate(backend, request, transcript)
+        # an equal prompt built anew is the same key
+        rebuilt = "".join(["VALUE ", "digest-memo"])
+        generate(backend, BackendRequest(prompt=rebuilt, temperature=1.0), transcript)
+        assert prompt_digest.cache_info().hits >= hits + 2
+        expected = hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:16]
+        assert [e["prompt_digest"] for e in transcript.events] == [expected] * 3
+
     def test_completion_count_enforced(self):
         with pytest.raises(BackendUnavailableError):
             generate(_LyingBackend(), BackendRequest(prompt="p", temperature=0.5, n=2))
@@ -181,6 +198,16 @@ def _choices(*texts):
 
 def _status(code, headers=None, body="{}"):
     return code, headers or {}, body
+
+
+# 200 bodies whose choices no completion can be read from
+_WRONG_SHAPE_CHOICES = [
+    {"choices": None},
+    {"choices": [{"message": None}]},
+    {"choices": ["x"]},
+    {"choices": [{"message": {"content": ["x"]}}]},
+]
+_WRONG_SHAPE_IDS = ["null-choices", "null-message", "string-choice", "list-content"]
 
 
 class _EndpointHandler(BaseHTTPRequestHandler):
@@ -423,6 +450,40 @@ class TestHttpBackend:
         assert len(endpoint.calls) == 3
         assert err.value.last_status == 200
 
+    @pytest.mark.parametrize("body", _WRONG_SHAPE_CHOICES, ids=_WRONG_SHAPE_IDS)
+    def test_wrong_shape_choices_are_retried(self, endpoint, body):
+        endpoint.reply(_status(200, body=json.dumps(body)), _choices("recovered"))
+        response = endpoint.client().generate(
+            BackendRequest(prompt="p", temperature=0.5)
+        )
+        assert response.completions == ("recovered",)
+        assert len(endpoint.calls) == 2
+
+    @pytest.mark.parametrize("body", _WRONG_SHAPE_CHOICES, ids=_WRONG_SHAPE_IDS)
+    def test_wrong_shape_choices_end_in_backend_unavailable(
+        self, endpoint, tmp_path, body
+    ):
+        endpoint.reply(*[_status(200, body=json.dumps(body))] * 3)
+        cache = ResponseCache(tmp_path)
+        with pytest.raises(BackendUnavailableError, match="wrong-shape choices") as err:
+            cached_generate(
+                cache,
+                endpoint.client(max_retries=2),
+                BackendRequest(prompt="p", temperature=0.5),
+            )
+        assert len(endpoint.calls) == 3
+        assert err.value.last_status == 200
+        assert list(tmp_path.iterdir()) == []  # nothing was cached
+
+    def test_null_content_is_empty_text(self, endpoint):
+        body = {"choices": [{"message": {"content": None}}, {}]}
+        endpoint.reply(_status(200, body=json.dumps(body)))
+        response = endpoint.client().generate(
+            BackendRequest(prompt="p", temperature=0.5, n=2)
+        )
+        assert response.completions == ("", "")
+        assert len(endpoint.calls) == 1
+
     def test_usage_that_is_not_an_object_is_dropped(self, endpoint, tmp_path):
         # the cache reads an entry whose usage is not an object as damaged,
         # so keeping it would reissue the request on every read
@@ -636,6 +697,43 @@ class TestSyntheticOracle:
         direct = plain.generate(req_a).completions
         mixed.generate(req_b)
         assert mixed.generate(req_a).completions == direct
+
+    @staticmethod
+    def _normals(oracle, key, sizes):
+        """The key's standard normals, asked for as requests of these n."""
+        normals = []
+        for n in sizes:
+            request = BackendRequest(prompt=f"VALUE {key}", temperature=1.0, n=n)
+            normals += [float(c) for c in oracle.generate(request).completions]
+        return normals
+
+    @staticmethod
+    def _one_generator(seed, key, count):
+        """The key's first count normals from its own seeded generator."""
+        key_hash = int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
+        seq = np.random.SeedSequence([seed & 0xFFFFFFFF, key_hash])
+        return np.random.default_rng(seq).standard_normal(count).tolist()
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [[1] * 70, [70], [31, 2], [32, 1, 31, 1], [7, 43, 20], [1, 100, 1]],
+        ids=["one-at-a-time", "one-request", "31+2", "32+1+31+1", "7+43+20", "1+100+1"],
+    )
+    def test_block_drawn_stream_is_the_keys_generator(self, sizes):
+        # mean 0 and sigma 1 serve each normal as drawn
+        oracle = SyntheticOracleBackend({"a": 0.0}, {"a": 1.0}, seed=9)
+        expected = self._one_generator(9, "a", sum(sizes))
+        assert self._normals(oracle, "a", sizes) == expected
+
+    def test_block_drawn_streams_ignore_interleaving(self):
+        seed = 2**40 + 5  # beyond 32 bits: the key seed keeps the low 32
+        oracle = SyntheticOracleBackend({"a": 0.0, "b": 0.0}, {"a": 1.0, "b": 1.0}, seed)
+        drawn = {"a": [], "b": []}
+        for n in (1, 31, 2, 40, 1, 1):
+            drawn["a"] += self._normals(oracle, "a", [n])
+            drawn["b"] += self._normals(oracle, "b", [n + 3, 1])
+        for key, normals in drawn.items():
+            assert normals == self._one_generator(seed, key, len(normals))
 
     def test_sample_moments(self):
         """10,000 draws: mean and variance land near mu=10, sigma^2=4."""

@@ -218,6 +218,44 @@ class TestRunBenchmark:
         assert len(records) == 2
         assert f"records.jsonl:2: skipping an unreadable record: {field}" in caplog.text
 
+    @pytest.mark.parametrize(
+        "field, wrong, message",
+        [
+            ("task", 7, "task is not a string"),
+            ("problem_id", ["synthetic/1"], "problem_id is not a string"),
+            ("final_output", None, "final_output is not a string"),
+            ("config.digest", ["d"], "config.digest is not a string"),
+            ("events", {"event": "final"}, "events is not a list of JSON objects"),
+            ("events", ["final"], "events is not a list of JSON objects"),
+            ("verdicts.success", "yes", "verdict 'success' is not a number"),
+            ("verdicts.success", True, "verdict 'success' is not a number"),
+        ],
+    )
+    def test_resume_skips_a_line_with_a_wrong_shape_field(
+        self, tmp_path, caplog, field, wrong, message
+    ):
+        task, problems, factory = quick_setup(episodes=2)
+        path = tmp_path / "records.jsonl"
+        run_benchmark(task, problems, "tout_bfs", factory, QUICK,
+                      record_path=path, run_seed=1)
+        bad = json.loads(path.read_text().splitlines()[1])
+        *outer, name = field.split(".")
+        target = bad
+        for key in outer:
+            target = target[key]
+        target[name] = wrong
+        # the last line of a key wins, so a bad line that loaded would
+        # stand in for the second episode
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(bad) + "\n")
+        before = path.read_bytes()
+        with caplog.at_level(logging.WARNING, logger="tout.harness"):
+            again = run_benchmark(task, problems, "tout_bfs", factory, QUICK,
+                                  record_path=path, run_seed=1)
+        assert f"records.jsonl:3: skipping an unreadable record: {message}" in caplog.text
+        assert all(r.resumed for r in again.results)
+        assert path.read_bytes() == before
+
     def test_repeated_problem_ids_error_before_running(self, tmp_path):
         # both problems would resume from, and be scored by, one record
         task, problems, factory = quick_setup(episodes=2)
