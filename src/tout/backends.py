@@ -32,7 +32,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
 from urllib.parse import unquote, urlsplit
 
-from .model import BackendUnavailableError, InvalidArgumentError, Transcript
+from .model import (
+    MAX_TEMPERATURE,
+    BackendUnavailableError,
+    InvalidArgumentError,
+    Transcript,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,7 +51,9 @@ ENV_API_KEY = "TOUT_API_KEY"
 ENV_MODEL = "TOUT_MODEL"
 
 
-@dataclass(frozen=True)
+# Slotted: a value draw builds one request and one response, and an instance
+# dict for each would be one more allocation per draw.
+@dataclass(frozen=True, slots=True)
 class BackendRequest:
     prompt: str
     temperature: float
@@ -57,15 +64,17 @@ class BackendRequest:
     def __post_init__(self):
         if not math.isfinite(self.temperature):
             raise InvalidArgumentError("temperature must be finite")
-        if not (0.0 <= self.temperature <= 2.0):
-            raise InvalidArgumentError("temperature must be within [0, 2]")
+        if not (0.0 <= self.temperature <= MAX_TEMPERATURE):
+            raise InvalidArgumentError(
+                f"temperature must be within [0, {MAX_TEMPERATURE:g}]"
+            )
         if self.n < 1:
             raise InvalidArgumentError("n must be >= 1")
         if self.max_tokens < 1:
             raise InvalidArgumentError("max_tokens must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BackendResponse:
     completions: tuple[str, ...]
     usage: Optional[dict[str, int]] = None
@@ -448,6 +457,17 @@ class ScriptedBackend(Backend):
         return BackendResponse(completions=completions)
 
 
+def synthetic_tree_id(
+    true_value: dict[str, float],
+    noise_std: dict[str, float],
+    children: dict[str, list[str]],
+) -> str:
+    """Digest of the tree a synthetic oracle answers from: its values,
+    noise and children."""
+    payload = json.dumps([true_value, noise_std, children], sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
 def _key_seed(seed: int, key: str) -> np.random.Generator:
     import numpy as np
 
@@ -471,9 +491,12 @@ class SyntheticOracleBackend(Backend):
     returns the scripted child labels for that key, one per line. Keying
     each state to its own substream makes the full sample stream
     reproducible for a fixed seed regardless of evaluation interleaving.
-    """
 
-    backend_id = "synthetic"
+    The backend id names the seed and the tree (synthetic_tree_id), so
+    cache entries of one episode never answer another's draws. A caller
+    that builds many oracles of one tree passes its ``tree_id`` rather
+    than have each oracle digest the tree again.
+    """
 
     def __init__(
         self,
@@ -481,6 +504,7 @@ class SyntheticOracleBackend(Backend):
         noise_std: dict[str, float],
         seed: int,
         children: Optional[dict[str, list[str]]] = None,
+        tree_id: Optional[str] = None,
     ):
         for key, sigma in noise_std.items():
             if sigma < 0:
@@ -489,6 +513,9 @@ class SyntheticOracleBackend(Backend):
         self.noise_std = dict(noise_std)
         self.children = dict(children or {})
         self.seed = seed
+        if tree_id is None:
+            tree_id = synthetic_tree_id(self.true_value, self.noise_std, self.children)
+        self.backend_id = f"synthetic:{seed}:{tree_id}"
         # numpy serves only this oracle: it loads when the first one is
         # built, before any episode's clock starts, not on a draw
         import numpy  # noqa: F401
@@ -496,6 +523,9 @@ class SyntheticOracleBackend(Backend):
         # key -> (its generator, normals drawn from it and not yet served)
         self._streams: dict[str, tuple[np.random.Generator, list[float]]] = {}
         self._lock = threading.Lock()
+        # VALUE prompt -> (its key, mean, sigma), parsed on its first draw;
+        # two threads that parse one prompt at once store equal entries
+        self._values: dict[str, tuple[str, float, float]] = {}
 
     def _next_draws(self, key: str, n: int) -> list[float]:
         """The key's next n standard normals. They are drawn in blocks of at
@@ -508,16 +538,24 @@ class SyntheticOracleBackend(Backend):
             rng, held = stream
             if len(held) < n:
                 held += rng.standard_normal(max(n - len(held), _NORMAL_BLOCK)).tolist()
+            if n == 1:
+                return [held.pop(0)]
             draws = held[:n]
             del held[:n]
         return draws
 
     def generate(self, request: BackendRequest) -> BackendResponse:
         prompt = request.prompt
-        if prompt.startswith("VALUE "):
+        value = self._values.get(prompt)
+        if value is None and prompt.startswith("VALUE "):
             key = prompt[len("VALUE ") :].strip()
-            mu = self.true_value.get(key, 0.0)
-            sigma = self.noise_std.get(key, 0.0)
+            value = self._values[prompt] = (
+                key,
+                self.true_value.get(key, 0.0),
+                self.noise_std.get(key, 0.0),
+            )
+        if value is not None:
+            key, mu, sigma = value
             draws = self._next_draws(key, request.n)
             return BackendResponse(tuple([repr(mu + sigma * g) for g in draws]))
         if prompt.startswith("PROPOSE "):

@@ -9,6 +9,7 @@ single search loop owns all writes to the state store.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import asdict, dataclass
 from types import MappingProxyType
@@ -145,6 +146,11 @@ def extend_state(store: StateStore, parent: State, thought: str) -> State:
     )
 
 
+# Highest sampling temperature a backend request may carry, as the
+# chat-completions API bounds it; the lowest is 0.
+MAX_TEMPERATURE = 2.0
+
+
 @dataclass
 class SearchConfig:
     """Shared knobs for the search loops and the value estimator.
@@ -175,12 +181,18 @@ class SearchConfig:
     def validate(self) -> None:
         if self.k < 1 or self.b < 1 or self.T < 1 or self.m < 1:
             raise InvalidArgumentError("k, b, T and m must be positive")
-        if not (0 <= self.t_min <= self.t_max):
-            raise InvalidArgumentError("require 0 <= t_min <= t_max")
+        for name in ("t_min", "t_max", "v_th", "u_th", "epsilon"):
+            if math.isnan(getattr(self, name)):
+                raise InvalidArgumentError(f"{name} must be a number, not NaN")
+        if not (0 <= self.t_min <= self.t_max <= MAX_TEMPERATURE):
+            raise InvalidArgumentError(
+                f"require 0 <= t_min <= t_max <= {MAX_TEMPERATURE:g}"
+            )
+        # an infinite u_th or a -inf v_th turns its DFS gate off
         if self.u_th <= 0:
             raise InvalidArgumentError("u_th must be positive")
-        if self.epsilon <= 0:
-            raise InvalidArgumentError("epsilon must be positive")
+        if not (0 < self.epsilon < math.inf):
+            raise InvalidArgumentError("epsilon must be positive and finite")
         if self.max_outputs < 1:
             raise InvalidArgumentError("max_outputs must be positive")
         if self.eval_workers < 1:
@@ -219,7 +231,9 @@ class Transcript:
         self.events: list[dict[str, Any]] = []
 
     def emit(self, kind: str, **data: Any) -> None:
-        self.events.append({"event": kind, **data})
+        # data is a dict of its own, built for this call: it is the event
+        data["event"] = kind
+        self.events.append(data)
 
     def record_events(self) -> list[dict[str, Any]]:
         return [e for e in self.events if e["event"] in RECORD_EVENT_KINDS]

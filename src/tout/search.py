@@ -303,7 +303,12 @@ def tout_dfs(
         transcript.emit("backtrack", state_id=state.id)
         return False
 
-    visit(root)
+    try:
+        visit(root)
+    finally:
+        # visit refers to itself through its closure cell: dropping the name
+        # breaks that cycle, so the episode is freed without the collector
+        del visit
     if not recorded:
         # max() keeps the first maximum, i.e. the earliest-reached deepest
         deepest = max(reached, key=lambda s: s.depth)

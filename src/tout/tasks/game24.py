@@ -176,15 +176,17 @@ def format_expression(expr: Expression) -> str:
     Inner parentheses pin the tree shape, so re-parsing the printed text
     reconstructs an identical tree regardless of operator precedence.
     """
-
-    def fmt(node: Expression) -> str:
-        if isinstance(node, Literal):
-            return str(node.value)
-        return f"({fmt(node.left)}{node.op}{fmt(node.right)})"
-
     if isinstance(expr, Literal):
         return str(expr.value)
-    return f"{fmt(expr.left)}{expr.op}{fmt(expr.right)}"
+    return f"{_parenthesized(expr.left)}{expr.op}{_parenthesized(expr.right)}"
+
+
+# A module function, not a closure: a recursive closure refers to itself
+# through its cell, a cycle only the collector frees, made on every call.
+def _parenthesized(node: Expression) -> str:
+    if isinstance(node, Literal):
+        return str(node.value)
+    return f"({_parenthesized(node.left)}{node.op}{_parenthesized(node.right)})"
 
 
 def canonical_equation(expr: Expression) -> str:

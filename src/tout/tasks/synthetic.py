@@ -13,10 +13,11 @@ samples and variance guidance the trap's spread gives it away.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
 from typing import Any
 
-from ..backends import SyntheticOracleBackend
+from ..backends import SyntheticOracleBackend, synthetic_tree_id
 from ..model import InvalidArgumentError, State, TaskSpec
 
 GOOD = "good"
@@ -84,12 +85,18 @@ class TrapBenchmark:
     def task(self) -> SyntheticTreeTask:
         return SyntheticTreeTask(max_steps=self.depth)
 
+    @cached_property
+    def tree_id(self) -> str:
+        """synthetic_tree_id of the tree, digested once for all episodes."""
+        return synthetic_tree_id(self.true_value, self.noise_std, self.children)
+
     def backend(self, seed: int) -> SyntheticOracleBackend:
         return SyntheticOracleBackend(
             true_value=self.true_value,
             noise_std=self.noise_std,
             seed=seed,
             children=self.children,
+            tree_id=self.tree_id,
         )
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
+from typing import Callable
 
 from tout.backends import ScriptedBackend
 from tout.model import SearchConfig, State, TaskSpec
@@ -87,3 +89,18 @@ def value_words(task_name: str, values: list[float]) -> list[str]:
     else:
         table = {20.0: "sure", 1.0: "likely", 0.001: "impossible"}
     return [table[v] for v in values]
+
+
+def cyclic_garbage(fn: Callable[[], object]) -> int:
+    """How many objects fn() leaves that only the cycle collector frees:
+    fn runs with the collector off, and the count is what gc.collect()
+    then finds."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fn()
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()

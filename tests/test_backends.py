@@ -9,6 +9,7 @@ is exercised without a network.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import hashlib
 import http.client
 import json
@@ -101,6 +102,21 @@ class TestRequestEncoding:
         )
         assert body_to_request(request_to_body(request, "some-model")) == request
 
+    def test_request_and_response_are_frozen_slotted_values(self):
+        request = BackendRequest(prompt="p", temperature=0.5, stop=("x",))
+        response = BackendResponse(completions=("a",))
+        for value, field in ((request, "temperature"), (response, "completions")):
+            assert not hasattr(value, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field, getattr(value, field))
+        assert request == BackendRequest("p", 0.5, stop=("x",))
+        assert {request: 1, response: 2}[BackendRequest("p", 0.5, stop=("x",))] == 1
+        assert {request: 1, response: 2}[BackendResponse(("a",))] == 2
+        warmer = dataclasses.replace(request, temperature=0.7)
+        assert warmer == BackendRequest("p", 0.7, stop=("x",))
+        with pytest.raises(InvalidArgumentError):
+            dataclasses.replace(request, temperature=2.5)
+
     def test_body_shape(self):
         body = request_to_body(
             BackendRequest(prompt="p", temperature=0.7, n=3), "m1"
@@ -148,6 +164,12 @@ class TestGenerateWrapper:
         assert prompt_digest.cache_info().hits >= hits + 2
         expected = hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:16]
         assert [e["prompt_digest"] for e in transcript.events] == [expected] * 3
+
+    def test_debug_log_names_the_call(self, caplog):
+        backend = ScriptedBackend({}, default="ok")
+        with caplog.at_level(logging.DEBUG, logger="tout.backends"):
+            generate(backend, BackendRequest(prompt="p", temperature=0.5))
+        assert "generate backend=scripted temp=0.500 n=1 latency=" in caplog.text
 
     def test_completion_count_enforced(self):
         with pytest.raises(BackendUnavailableError):
@@ -685,6 +707,43 @@ class TestSyntheticOracle:
         c = self._backend(seed=4).generate(req)
         assert a.completions == b.completions
         assert a.completions != c.completions
+
+    def test_one_draw_requests_differ_across_seeds(self):
+        req = BackendRequest(prompt="VALUE root", temperature=1.0)
+        a, b = self._backend(seed=3), self._backend(seed=4)
+        for _ in range(3):
+            assert a.generate(req).completions != b.generate(req).completions
+
+    def test_value_key_ignores_surrounding_whitespace(self):
+        padded = BackendRequest(prompt="VALUE  root \n", temperature=1.0, n=2)
+        plain = BackendRequest(prompt="VALUE root", temperature=1.0)
+        oracle = self._backend(seed=2)
+        mixed = oracle.generate(padded).completions + oracle.generate(plain).completions
+        alone = self._backend(seed=2).generate(dataclasses.replace(plain, n=3))
+        assert mixed == alone.completions
+        assert len(set(mixed)) == 3
+
+    def test_parsed_prompts_are_not_shared_across_oracles(self):
+        req = BackendRequest(prompt="VALUE a", temperature=1.0)
+        low = SyntheticOracleBackend({"a": 1.0}, {"a": 0.0}, seed=0)
+        high = SyntheticOracleBackend({"a": 5.0}, {"a": 0.0}, seed=0)
+        assert low.generate(req).completions == ("1.0",)
+        assert high.generate(req).completions == ("5.0",)
+
+    def test_backend_id_names_the_seed_and_the_tree(self):
+        ids = {
+            self._backend(seed=0).backend_id,
+            self._backend(seed=1).backend_id,
+            self._backend(seed=0, sigma=3.0).backend_id,
+            SyntheticOracleBackend({"root": 10.0}, {"root": 2.0}, seed=0).backend_id,
+        }
+        assert len(ids) == 4
+        assert self._backend(seed=0).backend_id in ids
+        benchmark = build_trap_benchmark(depth=2)
+        built = SyntheticOracleBackend(
+            benchmark.true_value, benchmark.noise_std, 7, benchmark.children
+        )
+        assert benchmark.backend(7).backend_id == built.backend_id
 
     def test_per_key_substreams_ignore_interleaving(self):
         """Draws for one key are the same no matter what else was asked."""

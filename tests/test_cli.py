@@ -172,6 +172,32 @@ class TestSearchSettings:
         ini = load_ini(str(path))
         assert build_search_values(argparse.Namespace(), ini) == {field: value}
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--t-max", "2.5"],
+            ["--t-min", "inf", "--t-max", "inf"],
+            ["--epsilon", "inf"],
+            ["--t-min", "nan"],
+            ["--t-max", "nan"],
+            ["--v-th", "nan"],
+            ["--u-th", "nan"],
+            ["--epsilon", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_value_exits_two_before_any_episode(self, tmp_path, capsys, flags):
+        records = tmp_path / "records.jsonl"
+        assert main(synthetic_argv("--records", str(records), *flags)) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ")
+        assert out == ""
+        assert not records.exists()
+
+    @pytest.mark.parametrize("flag", ["--u-th=inf", "--v-th=-inf"])
+    def test_a_gate_turned_off_runs(self, capsys, flag):
+        assert main(synthetic_argv("--method", "tout_dfs", flag)) == 0
+
 
 class TestScriptFile:
     def test_round_trip_with_default(self, tmp_path):

@@ -21,6 +21,7 @@ from tout.backends import (
     Backend,
     BackendRequest,
     BackendResponse,
+    ResponseCache,
     SyntheticOracleBackend,
 )
 from tout.harness import (
@@ -541,6 +542,27 @@ class TestResumeRerunsFailures:
         assert all(r.resumed for r in again.results)
         assert calls == []
         assert path.read_bytes() == before
+
+
+class TestSyntheticCache:
+    def test_cached_run_matches_uncached_and_replays_without_calls(self, tmp_path):
+        # each episode's oracle has its own seed, so its own cache entries
+        task, problems, oracle = quick_setup(episodes=8, depth=3)
+        config = SearchConfig(k=2, b=1, T=3, m=2)
+        calls: list[str] = []
+
+        def records(cache):
+            report = run_benchmark(
+                task, problems, "tout_bfs",
+                lambda seed: _CountedBackend(oracle(seed), calls), config, cache=cache,
+            )
+            return [result.record.to_json() for result in report.results]
+
+        uncached = records(None)
+        assert records(ResponseCache(tmp_path)) == uncached
+        calls.clear()
+        assert records(ResponseCache(tmp_path)) == uncached
+        assert calls == []
 
 
 class TestAblationAndSweep:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import fields
 
 import pytest
 
@@ -83,12 +85,23 @@ class TestSearchConfig:
             ("u_th", 0.0),
             ("max_outputs", 0),
             ("eval_workers", 0),
-        ],
+            ("t_max", 2.5),  # beyond what a backend request accepts
+            ("epsilon", math.inf),  # would score every state 0
+        ]
+        + [(f.name, math.nan) for f in fields(SearchConfig) if f.type == "float"],
     )
     def test_bad_values_rejected(self, field, value):
         config = SearchConfig(**{field: value})
         with pytest.raises(InvalidArgumentError):
             config.validate()
+
+    def test_infinite_temperatures_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            SearchConfig(t_min=math.inf, t_max=math.inf).validate()
+
+    @pytest.mark.parametrize("field,value", [("u_th", math.inf), ("v_th", -math.inf)])
+    def test_a_gate_may_be_turned_off(self, field, value):
+        SearchConfig(**{field: value}).validate()
 
     def test_t_max_below_t_min_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -151,6 +164,16 @@ class TestTranscript:
         kinds = [e["event"] for e in t.record_events()]
         assert "generate" not in kinds
         assert kinds == ["expand", "evaluate"]
+
+    def test_emit_stores_the_kind_in_a_dict_of_each_call(self):
+        t = Transcript()
+        data = {"state_id": 0}
+        t.emit("expand", **data)
+        t.emit("expand", **data)
+        first, second = t.events
+        assert first == second == {"event": "expand", "state_id": 0}
+        assert first is not second
+        assert data == {"state_id": 0}
 
     def test_generate_excluded_from_record_kinds(self):
         assert "generate" not in RECORD_EVENT_KINDS

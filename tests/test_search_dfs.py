@@ -17,9 +17,11 @@ from dataclasses import dataclass, field as dc_field
 import pytest
 
 from tout import SearchConfig, SearchExhaustedError, Transcript, tout_dfs
-from tout.tasks.synthetic import SyntheticTreeTask
+from tout.search import run_method
+from tout.tasks import make_task
+from tout.tasks.synthetic import SyntheticTreeTask, build_trap_benchmark
 
-from helpers import EpisodeScript, make_state
+from helpers import EpisodeScript, cyclic_garbage, make_state
 
 
 @dataclass
@@ -366,3 +368,45 @@ class TestSpecificBehaviors:
         scores = [s for _, s in result.recorded_outputs]
         assert scores[1] > scores[0]
         assert result.final_output == "root/y/c"
+
+
+def trap_episode():
+    """One depth-3 trap episode of the given method, on a fresh oracle."""
+    benchmark = build_trap_benchmark(depth=3)
+    config = SearchConfig(k=5, b=1, T=3, m=4)
+    return lambda method: run_method(
+        method, benchmark.task(), "root", benchmark.backend(0), config
+    )
+
+
+def game24_episode():
+    """One scripted game24 episode: at each level the right step is valued
+    sure and the wrong one impossible, so both searches solve it."""
+    task = make_task("game24")
+    config = SearchConfig(k=2, b=1, T=3, m=3)
+    script = EpisodeScript(task=task, config=config)
+    puzzle = "4 9 10 13"
+    levels = [
+        ("13 - 9 = 4 (left: 4 4 10)", "4 + 9 = 13 (left: 10 13 13)"),
+        ("10 - 4 = 6 (left: 4 6)", "4 + 4 = 8 (left: 8 10)"),
+        ("4 * 6 = 24 (left: 24)", "4 + 6 = 10 (left: 10)"),
+    ]
+    thoughts: tuple[str, ...] = ()
+    for right, wrong in levels:
+        script.propose(make_state(puzzle, thoughts), [right, wrong])
+        script.value(make_state(puzzle, thoughts + (right,)), ["sure"] * 3)
+        script.value(make_state(puzzle, thoughts + (wrong,)), ["impossible"] * 3)
+        thoughts += (right,)
+    script.final(make_state(puzzle, thoughts), "Answer: 4 * (10 - (13 - 9)) = 24")
+    backend = script.backend()
+    return lambda method: run_method(method, task, puzzle, backend, config)
+
+
+@pytest.mark.parametrize("method", ["tout_bfs", "tout_dfs"])
+@pytest.mark.parametrize("episode", [trap_episode, game24_episode])
+def test_an_episode_leaves_no_cyclic_garbage(episode, method):
+    """An episode's states, scores and oracle are freed as soon as it
+    ends, not kept alive by a reference cycle until the collector runs."""
+    run = episode()
+    assert run(method).final_output  # warm: lazy set-up is not the episode's
+    assert cyclic_garbage(lambda: run(method)) == 0
