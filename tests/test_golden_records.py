@@ -96,7 +96,10 @@ def game24_run():
 
 def crosswords_run():
     """Puzzle 0 dead-ends after two fills (exhausted, best board reported);
-    puzzle 1 is solved row by row."""
+    puzzle 1 is solved row by row. The baselines answer puzzle 0 with a
+    board in lower case, or as one line that only the vote's canonical form
+    matches, and puzzle 1 with no board (io) or after reasoning lines that
+    look like rows (cot)."""
     task = make_task("crosswords")
     episode = EpisodeScript(task=task, config=CROSSWORD_CONFIG)
     problems = []
@@ -115,7 +118,11 @@ def crosswords_run():
             episode.propose(make_state(text, ("h1. HEART",)), ["h2. EMBER", "h2. ABUSE"])
             episode.value(make_state(text, ("h1. HEART", "h2. EMBER")), ["sure", "sure"])
             episode.value(make_state(text, ("h1. HEART", "h2. ABUSE")), ["maybe", "impossible"])
+            episode.io(text, "heart\nember\nabuse\nresin\ntrend")
+            episode.cot(text, ["Board:\nheart\nember\nabuse\nresin\ntrend", " ".join(WORDS)])
             continue
+        episode.io(text, "no idea")
+        episode.cot(text, ["h1 is HEART, so\nABUSE\n" + "\n".join(WORDS), "no idea"])
         thoughts: tuple[str, ...] = ()
         for i, word in enumerate(WORDS):
             thought = f"h{i + 1}. {word}"
@@ -133,6 +140,18 @@ def synthetic_run():
 
 
 GOLDEN = {
+    "crosswords/cot": {
+        "crosswords/0": "de951b8a3b183a278e71aff498b0ad95cd8cfa8a09d155300bc731c4b994e5e0",
+        "crosswords/1": "de951b8a3b183a278e71aff498b0ad95cd8cfa8a09d155300bc731c4b994e5e0",
+    },
+    "crosswords/cot_sc": {
+        "crosswords/0": "ae9953a3c75feb11d2ddc034020f109f72ab3002d335355258f001fe235df7b4",
+        "crosswords/1": "773ab59844e94c22e752a4264da48df2cdb496c0f7c9dcb6ed2c6f04edf41c21",
+    },
+    "crosswords/io": {
+        "crosswords/0": "de951b8a3b183a278e71aff498b0ad95cd8cfa8a09d155300bc731c4b994e5e0",
+        "crosswords/1": "bfc18aa8a83136e22ebd5ac8fd5d8db41bc302612c7fb861e5f7c3c49cf7328d",
+    },
     "crosswords/tout_dfs": {
         "crosswords/0": "a6273f067fbf53e7fb889885eb8472890db439877ebe9b825480e76fa131a3d4",
         "crosswords/1": "abff59d4c7d9bb8d72e523f9ff119ac43c8ea1a0be6a8817ec9212fd7805a259",
@@ -178,6 +197,9 @@ CASES = {
     ("game24", "cot"): game24_run,
     ("game24", "cot_sc"): game24_run,
     ("game24", "tout_bfs"): game24_run,
+    ("crosswords", "io"): crosswords_run,
+    ("crosswords", "cot"): crosswords_run,
+    ("crosswords", "cot_sc"): crosswords_run,
     ("crosswords", "tout_dfs"): crosswords_run,
     ("synthetic", "tout_bfs"): synthetic_run,
     ("synthetic", "tout_dfs"): synthetic_run,
