@@ -249,23 +249,43 @@ def load_script(path: str | Path) -> tuple[dict[tuple[str, int, int], str], str]
     return script, default
 
 
-@dataclasses.dataclass
-class _Invocation:
-    """Everything a run-style subcommand needs, resolved from flags + INI."""
+def _constant(backend: Backend) -> Callable[[int], Backend]:
+    def factory(seed: int) -> Backend:
+        return backend
 
-    task: Any
-    problems: list
-    method: str
-    config: SearchConfig
-    factory: Callable[[int], Backend]
-    run_kwargs: dict[str, Any]
-    fmt: str
-    out: Optional[str]
-    out_dir: Optional[Path]
-    run_id: str
+    return factory
 
 
-def _setup(args: argparse.Namespace, id_suffix: str = "") -> _Invocation:
+def _build_backend(
+    kind: str, args: argparse.Namespace, ini: Optional[configparser.ConfigParser]
+) -> Backend:
+    if kind == "http":
+        return HttpBackend(
+            base_url=_opt(args, ini, "api_base", None),
+            api_key=_opt(args, ini, "api_key", None),
+            model=_opt(args, ini, "model", None),
+        )
+    script_path = _opt(args, ini, "script", None)  # kind is "scripted"
+    if script_path is None:
+        raise InvalidArgumentError("--script is required for the scripted backend")
+    script, default = load_script(script_path)
+    return ScriptedBackend(script, default=default)
+
+
+def _deliver(table: str, out: Optional[str]) -> None:
+    if out is None:
+        print(table, end="" if table.endswith("\n") else "\n")
+    else:
+        Path(out).write_text(table, encoding="utf-8")
+
+
+RUN_ID_SUFFIX = {"run": "", "ablate": "-ablate", "sweep-m": "-sweepm"}
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    """run, ablate or sweep-m, as args.command names, resolved from flags +
+    INI; the table goes to stdout or --out, and both formats under
+    --out-dir."""
     ini = load_ini(args.config)
     task_name = _opt(args, ini, "task", None)
     if task_name is None:
@@ -319,7 +339,7 @@ def _setup(args: argparse.Namespace, id_suffix: str = "") -> _Invocation:
     config = dataclasses.replace(SearchConfig(), **values)
 
     run_id = _opt(args, ini, "run_id", "") or (
-        default_run_id(task_name, method, config) + id_suffix
+        default_run_id(task_name, method, config) + RUN_ID_SUFFIX[args.command]
     )
     out_path = Path(out_dir) if out_dir else None
     if out_path is not None and records is None:
@@ -328,98 +348,31 @@ def _setup(args: argparse.Namespace, id_suffix: str = "") -> _Invocation:
         records = str(transcripts / f"{run_id}.jsonl")
 
     cache = ResponseCache(cache_dir) if cache_dir else None
+    run_args = (task, problems, method, factory, config)
     run_kwargs = dict(cache=cache, record_path=records, run_seed=seed, jobs=jobs)
-    return _Invocation(
-        task=task,
-        problems=problems,
-        method=method,
-        config=config,
-        factory=factory,
-        run_kwargs=run_kwargs,
-        fmt=fmt,
-        out=out,
-        out_dir=out_path,
-        run_id=run_id,
-    )
+    if args.command == "run":
+        rows = run_benchmark(*run_args, **run_kwargs).rows()
+    elif args.command == "ablate":
+        rows = report_rows(run_ablation(*run_args, **run_kwargs))
+    else:
+        try:
+            m_values = [int(tok) for tok in args.m_values.split(",") if tok.strip()]
+        except ValueError:
+            raise InvalidArgumentError(f"bad --m-values {args.m_values!r}")
+        if not m_values:
+            raise InvalidArgumentError("--m-values is empty")
+        rows = report_rows(run_m_sweep(*run_args, m_values, **run_kwargs))
 
-
-def _deliver_rows(inv: _Invocation, rows) -> None:
-    """stdout/--out in the chosen format, plus both files under --out-dir."""
-    _deliver(emit_results(rows, fmt=inv.fmt), inv.out)
-    if inv.out_dir is not None:
-        results_dir = inv.out_dir / "results"
+    _deliver(emit_results(rows, fmt=fmt), out)
+    if out_path is not None:
+        results_dir = out_path / "results"
         results_dir.mkdir(parents=True, exist_ok=True)
-        (results_dir / f"{inv.run_id}.csv").write_text(
+        (results_dir / f"{run_id}.csv").write_text(
             emit_results(rows, fmt="csv"), encoding="utf-8"
         )
-        (results_dir / f"{inv.run_id}.md").write_text(
+        (results_dir / f"{run_id}.md").write_text(
             emit_results(rows, fmt="markdown"), encoding="utf-8"
         )
-
-
-def _constant(backend: Backend) -> Callable[[int], Backend]:
-    def factory(seed: int) -> Backend:
-        return backend
-
-    return factory
-
-
-def _build_backend(
-    kind: str, args: argparse.Namespace, ini: Optional[configparser.ConfigParser]
-) -> Backend:
-    if kind == "http":
-        return HttpBackend(
-            base_url=_opt(args, ini, "api_base", None),
-            api_key=_opt(args, ini, "api_key", None),
-            model=_opt(args, ini, "model", None),
-        )
-    script_path = _opt(args, ini, "script", None)  # kind is "scripted"
-    if script_path is None:
-        raise InvalidArgumentError("--script is required for the scripted backend")
-    script, default = load_script(script_path)
-    return ScriptedBackend(script, default=default)
-
-
-def _deliver(table: str, out: Optional[str]) -> None:
-    if out is None:
-        print(table, end="" if table.endswith("\n") else "\n")
-    else:
-        Path(out).write_text(table, encoding="utf-8")
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    inv = _setup(args)
-    report = run_benchmark(
-        inv.task, inv.problems, inv.method, inv.factory, inv.config,
-        **inv.run_kwargs,
-    )
-    _deliver_rows(inv, report.rows())
-    return 0
-
-
-def cmd_ablate(args: argparse.Namespace) -> int:
-    inv = _setup(args, id_suffix="-ablate")
-    reports = run_ablation(
-        inv.task, inv.problems, inv.method, inv.factory, inv.config,
-        **inv.run_kwargs,
-    )
-    _deliver_rows(inv, report_rows(reports))
-    return 0
-
-
-def cmd_sweep_m(args: argparse.Namespace) -> int:
-    inv = _setup(args, id_suffix="-sweepm")
-    try:
-        m_values = [int(tok) for tok in args.m_values.split(",") if tok.strip()]
-    except ValueError:
-        raise InvalidArgumentError(f"bad --m-values {args.m_values!r}")
-    if not m_values:
-        raise InvalidArgumentError("--m-values is empty")
-    reports = run_m_sweep(
-        inv.task, inv.problems, inv.method, inv.factory, inv.config,
-        m_values, **inv.run_kwargs,
-    )
-    _deliver_rows(inv, report_rows(reports))
     return 0
 
 
@@ -494,14 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ablate = sub.add_parser("ablate", help="2x2 grid over the uncertainty switches")
     _add_run_flags(p_ablate)
-    p_ablate.set_defaults(func=cmd_ablate)
+    p_ablate.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep-m", help="vary the sample count m")
     _add_run_flags(p_sweep)
     p_sweep.add_argument(
         "--m-values", default="1,2,5,10,20", help="comma-separated m values"
     )
-    p_sweep.set_defaults(func=cmd_sweep_m)
+    p_sweep.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="verify an answer with the exact checker")
     p_check.add_argument("--task", choices=("game24", "crosswords"), required=True)

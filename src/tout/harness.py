@@ -21,6 +21,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import NormalDist
@@ -173,9 +174,7 @@ def _run_episode(
 ) -> EpisodeResult:
     transcript = Transcript()
     started = time.perf_counter()
-    exhausted = False
-    backend_error = False
-    error = False
+    outcome = None  # the verdict naming how the episode failed to finish
     output = ""
     try:
         result = run_method(
@@ -183,27 +182,23 @@ def _run_episode(
         )
         output = result.final_output
     except SearchExhaustedError as exc:
-        exhausted = True
+        outcome = "exhausted"
         if exc.best_state is not None:
             output = task.render_output(exc.best_state)
         transcript.emit("note", text="search exhausted", fallback_output=output)
     except BackendUnavailableError as exc:
-        backend_error = True
+        outcome = "backend_error"
         transcript.emit("note", text=f"backend unavailable: {exc}")
     except Exception as exc:
         # a fault in one episode fails that episode, not the run
         log.exception("episode %s failed", problem.problem_id)
-        error = True
+        outcome = "error"
         transcript.emit("note", text=f"episode failed: {type(exc).__name__}: {exc}")
     seconds = time.perf_counter() - started
 
     verdicts = dict(task.check_success(output, problem.truth))
-    if exhausted:
-        verdicts["exhausted"] = 1.0
-    if backend_error:
-        verdicts["backend_error"] = 1.0
-    if error:
-        verdicts["error"] = 1.0
+    if outcome is not None:
+        verdicts[outcome] = 1.0
     events = transcript.record_events()
     verdicts.update(task.extra_verdicts(events, problem.truth))
 
@@ -240,14 +235,16 @@ def run_benchmark(
 
     backend_factory receives each episode's seed (run_seed XOR episode
     index), so stochastic backends are reproducible per episode while a
-    shared HTTP backend can simply ignore it. Episodes whose records are
-    already present in record_path are not rerun, except failed ones, which
-    run again and append their new record. A backend failure (verdict
-    ``backend_error``) or any other exception (verdict ``error``, with a
-    note naming it) fails its episode, whose record is kept, and the run
-    continues, unless more than half of all episodes fail, which aborts
-    the whole run as soon as that is known: under ``jobs`` the episodes not
-    yet started are cancelled. KeyboardInterrupt is not caught.
+    shared HTTP backend can simply ignore it. record_path is opened once,
+    before the first episode, and each record is flushed to it as its
+    episode ends. Episodes whose records are already present in record_path
+    are not rerun, except failed ones, which run again and append their new
+    record. A backend failure (verdict ``backend_error``) or any other
+    exception (verdict ``error``, with a note naming it) fails its episode,
+    whose record is kept, and the run continues, unless more than half of
+    all episodes fail, which aborts the whole run as soon as that is known:
+    under ``jobs`` the episodes not yet started are cancelled.
+    KeyboardInterrupt is not caught.
     """
     config.validate()
     check_method(method)  # a usage error, not an episode's fault
@@ -266,13 +263,6 @@ def run_benchmark(
     existing = load_existing_records(record_path) if record_path else {}
     write_lock = threading.Lock()
 
-    def append_record(record: RunRecord) -> None:
-        if record_path is None:
-            return
-        with write_lock:
-            with open(record_path, "a", encoding="utf-8") as handle:
-                handle.write(record.to_json() + "\n")
-
     def run_one(index: int, problem: Problem) -> EpisodeResult:
         record = existing.get((problem.problem_id, digest))
         if record is not None and not _episode_failed(record.verdicts):
@@ -288,7 +278,10 @@ def run_benchmark(
         result = _run_episode(
             task, problem, method, backend_factory(seed), episode_config, cache, digest
         )
-        append_record(result.record)
+        if records is not None:
+            with write_lock:
+                records.write(result.record.to_json() + "\n")
+                records.flush()
         return result
 
     total = len(problems)
@@ -301,26 +294,31 @@ def run_benchmark(
             )
 
     failed = 0
-    if jobs == 1:
-        results = []
-        for i, p in enumerate(problems):
-            result = run_one(i, p)
-            results.append(result)
-            failed += _episode_failed(result.verdicts)
-            check_abort(failed)
-    else:
-        results = [None] * total
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(run_one, i, p): i for i, p in enumerate(problems)}
-            try:
-                for future in as_completed(futures):
-                    result = results[futures[future]] = future.result()
-                    failed += _episode_failed(result.verdicts)
-                    check_abort(failed)
-            except BaseException:
-                # episodes not yet started would only spend backend calls
-                pool.shutdown(cancel_futures=True)
-                raise
+    # every episode started has ended before the handle closes
+    handle = open(record_path, "a", encoding="utf-8") if record_path else nullcontext()
+    with handle as records:
+        if jobs == 1:
+            results = []
+            for i, p in enumerate(problems):
+                result = run_one(i, p)
+                results.append(result)
+                failed += _episode_failed(result.verdicts)
+                check_abort(failed)
+        else:
+            results = [None] * total
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                futures = {
+                    pool.submit(run_one, i, p): i for i, p in enumerate(problems)
+                }
+                try:
+                    for future in as_completed(futures):
+                        result = results[futures[future]] = future.result()
+                        failed += _episode_failed(result.verdicts)
+                        check_abort(failed)
+                except BaseException:
+                    # episodes not yet started would only spend backend calls
+                    pool.shutdown(cancel_futures=True)
+                    raise
 
     keys: set[str] = set()
     for result in results:

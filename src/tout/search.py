@@ -239,8 +239,6 @@ def _best_frontier_state(
         key = (1, ss.score, -s.id) if ss is not None else (0, 0.0, -s.id)
         if best_key is None or key > best_key:
             best, best_key = s, key
-    if best is None:
-        raise SearchExhaustedError("empty frontier", best_state=None)
     return scored.get(best.id), best
 
 
@@ -329,22 +327,36 @@ def tout_dfs(
     )
 
 
-def run_prompt(
+def _run_baseline(
     task: TaskSpec,
     prompt: str,
     backend: Backend,
     config: SearchConfig,
-    transcript: Optional[Transcript] = None,
-    cache: Optional[ResponseCache] = None,
+    transcript: Optional[Transcript],
+    cache: Optional[ResponseCache],
+    vote: bool,
 ) -> SearchResult:
-    """One completion of a baseline prompt, a direct answer (io) or a
-    chain of thought (cot); the final answer line is kept."""
+    """The answer to a baseline prompt sampled at t_max. Each completion is
+    cut to its final answer line, or to its stripped text when it has none.
+    Without a vote one completion is the answer, a direct one (io) or a
+    chain of thought (cot); with one, m chains are voted (see run_cot_sc)."""
     if transcript is None:
         transcript = Transcript()
-    request = BackendRequest(prompt=prompt, temperature=config.t_max, n=1)
-    text = cached_generate(cache, backend, request, transcript=transcript).completions[0]
-    answer = task.extract_final_answer(text)
-    output = answer if answer is not None else text.strip()
+    n = config.m if vote else 1
+    request = BackendRequest(prompt=prompt, temperature=config.t_max, n=n)
+    response = cached_generate(cache, backend, request, transcript=transcript)
+    answers: list[str] = []
+    for text in response.completions:
+        answer = task.extract_final_answer(text)
+        answers.append(answer if answer is not None else text.strip())
+    winner = 0
+    if vote:
+        canonical = [task.canonicalize_answer(a) for a in answers]
+        counts = Counter(canonical)
+        top = max(counts.values())
+        winner = next(i for i, c in enumerate(canonical) if counts[c] == top)
+        transcript.emit("note", votes=canonical, winner=winner)
+    output = answers[winner]
     transcript.emit("final", output=output)
     return SearchResult(
         final_output=output,
@@ -369,33 +381,8 @@ def run_cot_sc(
     Ties go to the answer whose first occurrence is earliest; the emitted
     output is that completion's raw answer text.
     """
-    if transcript is None:
-        transcript = Transcript()
-    request = BackendRequest(
-        prompt=task.cot_prompt(problem_input), temperature=config.t_max, n=config.m
-    )
-    completions = cached_generate(
-        cache, backend, request, transcript=transcript
-    ).completions
-    answers: list[str] = []
-    for text in completions:
-        answer = task.extract_final_answer(text)
-        answers.append(answer if answer is not None else text.strip())
-    canonical = [task.canonicalize_answer(a) for a in answers]
-    counts = Counter(canonical)
-    top = max(counts.values())
-    winner = next(i for i, c in enumerate(canonical) if counts[c] == top)
-    output = answers[winner]
-    transcript.emit("note", votes=list(canonical), winner=winner)
-    transcript.emit("final", output=output)
-    return SearchResult(
-        final_output=output,
-        best_state=None,
-        visited=0,
-        recorded_outputs=[(output, 0.0)],
-        store=None,
-        transcript=transcript,
-    )
+    prompt = task.cot_prompt(problem_input)
+    return _run_baseline(task, prompt, backend, config, transcript, cache, vote=True)
 
 
 def check_method(method: str) -> None:
@@ -416,12 +403,11 @@ def run_method(
 ) -> SearchResult:
     """Dispatch one episode by method name (see METHODS)."""
     check_method(method)
-    if method == "io":
-        prompt = task.io_prompt(problem_input)
-        return run_prompt(task, prompt, backend, config, transcript, cache)
-    if method == "cot":
-        prompt = task.cot_prompt(problem_input)
-        return run_prompt(task, prompt, backend, config, transcript, cache)
+    if method in ("io", "cot"):
+        prompt = (task.io_prompt if method == "io" else task.cot_prompt)(problem_input)
+        return _run_baseline(
+            task, prompt, backend, config, transcript, cache, vote=False
+        )
     if method == "cot_sc":
         return run_cot_sc(task, problem_input, backend, config, transcript, cache)
     if method.startswith("tot_"):

@@ -566,6 +566,34 @@ class TestHttpTransport:
         assert len(endpoint.calls) == 2
         assert len(endpoint.sockets) == 2
 
+    def test_refused_connection_is_retried_then_fails(self, monkeypatch):
+        for name in _PROXY_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        with socket.socket() as probe:  # a loopback port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        backend = HttpBackend(
+            base_url=f"http://127.0.0.1:{port}", model="m1",
+            max_retries=2, backoff_s=0.01,
+        )
+        attempts = []
+        exchange = backend._exchange
+
+        def counted(*args):
+            attempts.append(args)
+            return exchange(*args)
+
+        monkeypatch.setattr(backend, "_exchange", counted)
+        try:
+            with pytest.raises(BackendUnavailableError) as err:
+                backend.generate(BackendRequest(prompt="p", temperature=0.5))
+            assert len(attempts) == 3
+            assert err.value.last_status is None
+            assert "ConnectionRefusedError" in str(err.value)
+            assert not backend._connections
+        finally:
+            backend.close()
+
     def test_base_url_path_is_kept(self, endpoint):
         endpoint.reply(_choices("hi"))
         backend = endpoint.client(base_url=endpoint.url + "/prefix/")

@@ -33,6 +33,7 @@ from tout.tasks.game24 import (
     format_expression,
     format_number,
     load_game24_csv,
+    normalize_expression,
     parse_expression,
     parse_puzzle,
     parse_step,
@@ -83,6 +84,7 @@ class TestParsing:
             ("4+*3", 2),
             ("4+", 2),
             (")4", 0),
+            ("(1+2))", 5),
         ],
     )
     def test_error_positions(self, text, position):
@@ -462,6 +464,10 @@ class TestTaskAdapter:
         assert task.parse_final("Answer: (13-9)*(10-4)") == "(13-9)*(10-4)=24"
         # unparseable output passes through untouched
         assert task.parse_final("Answer: gibberish") == "gibberish"
+        # without an Answer: line the whole text is the answer, and an
+        # "= 24" is cut from either side
+        assert task.parse_final("(13-9)*(10-4) = 24") == "(13-9)*(10-4)=24"
+        assert normalize_expression("24 = 4 * 6") == "4 * 6"
 
     def test_check_success_uses_verdicts(self):
         task = make_task("game24")

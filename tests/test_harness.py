@@ -271,6 +271,17 @@ class TestRunBenchmark:
         with pytest.raises(InvalidArgumentError):
             run_benchmark(task, [], "tout_bfs", factory, QUICK)
 
+    def test_records_path_that_cannot_be_opened_errors_before_any_call(
+        self, tmp_path
+    ):
+        task, problems, factory = quick_setup(episodes=2)
+        calls = []
+        with pytest.raises(FileNotFoundError):
+            run_benchmark(task, problems, "tout_bfs",
+                          lambda seed: _CountedBackend(factory(seed), calls), QUICK,
+                          record_path=tmp_path / "missing" / "records.jsonl")
+        assert calls == []
+
     def test_exhausted_episode_scores_zero_but_continues(self):
         # a childless tree makes the first expansion propose nothing
         oracle = SyntheticOracleBackend(
@@ -423,6 +434,24 @@ class TestEpisodeErrors:
 
         with pytest.raises(KeyboardInterrupt):
             self._run(set(), jobs, task=InterruptedTask(max_steps=2))
+
+
+class _Interrupted(Backend):
+    backend_id = "interrupted"
+
+    def generate(self, request):
+        raise KeyboardInterrupt
+
+
+def test_interrupted_run_keeps_the_records_of_finished_episodes(tmp_path):
+    task, problems, factory = quick_setup(episodes=3)
+    path = tmp_path / "records.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        run_benchmark(task, problems, "tout_bfs",
+                      lambda seed: _Interrupted() if seed == 1 else factory(seed),
+                      QUICK, record_path=path)
+    clean = run_benchmark(task, problems[:1], "tout_bfs", factory, QUICK)
+    assert path.read_text() == clean.results[0].record.to_json() + "\n"
 
 
 class _NegativeValueBug(SyntheticTreeTask):
