@@ -573,6 +573,10 @@ _KEY_ENCODER = json.JSONEncoder(separators=(",", ":"))
 # buffer costs more to allocate than the read it serves.
 _READ_CHUNK = 64 * 1024
 
+# ResponseCache.get's decoder, built once: json.loads re-checks its argument's
+# type and encoding on every call before it reaches the same decoder.
+_DECODER = json.JSONDecoder()
+
 
 class ResponseCache:
     """Content-addressed response cache: one JSON file per key digest.
@@ -659,9 +663,14 @@ class ResponseCache:
         try:
             fd = os.open(self._path(key), os.O_RDONLY)
             try:
-                chunks = []
-                while chunk := os.read(fd, _READ_CHUNK):
-                    chunks.append(chunk)
+                # a short read of a regular file is its end, so an entry that
+                # fits one chunk takes one read; only a full chunk reads on
+                blob = os.read(fd, _READ_CHUNK)
+                if len(blob) == _READ_CHUNK:
+                    chunks = [blob]
+                    while chunk := os.read(fd, _READ_CHUNK):
+                        chunks.append(chunk)
+                    blob = b"".join(chunks)
             finally:
                 os.close(fd)
         except FileNotFoundError:
@@ -670,7 +679,7 @@ class ResponseCache:
             log.warning("cache read failed for %s: %s", key, exc)
             return None
         try:
-            data = json.loads(b"".join(chunks).decode("utf-8"))
+            data = _DECODER.decode(blob.decode("utf-8"))
             completions, usage = data["completions"], data.get("usage")
             if not isinstance(completions, list) or not all(
                 isinstance(text, str) for text in completions

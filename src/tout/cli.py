@@ -169,11 +169,16 @@ def load_ini(path: Optional[str]) -> Optional[configparser.ConfigParser]:
         return None
     ini = configparser.ConfigParser(interpolation=None)
     try:
-        read = ini.read(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            ini.read_file(handle)
+    except FileNotFoundError:
+        raise InvalidArgumentError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, or no permission to read
+        raise InvalidArgumentError(
+            f"cannot read config file {path}: {exc.strerror}"
+        ) from None
     except (configparser.Error, ValueError) as exc:  # ValueError: UTF-8
         raise InvalidArgumentError(f"{path}: not an INI file: {exc}") from None
-    if not read:
-        raise InvalidArgumentError(f"config file not found: {path}")
     sections = _ini_flags()
     for section in ini.sections():
         if section not in sections:
@@ -482,7 +487,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:  # an input path names no file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BackendUnavailableError, RunAbortedError) as exc:

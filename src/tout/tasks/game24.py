@@ -16,6 +16,7 @@ import csv
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Iterator, Optional, Sequence
@@ -396,7 +397,7 @@ def _pairs(numbers: list[Fraction]) -> list[tuple[int, int]]:
 
 
 def apply_step(
-    numbers: list[Fraction], line: str
+    numbers: Sequence[Fraction], line: str
 ) -> Optional[list[Fraction]]:
     """Remaining numbers after one step, or None if the step is invalid.
 
@@ -424,6 +425,28 @@ def apply_step(
     return left
 
 
+# One entry per distinct (input, thoughts) path, about 0.45 KB with its key,
+# so a full memo holds ~7 MB: enough for an ablation or m sweep over a few
+# hundred puzzles to replay every state, bounded for a longer run.
+@lru_cache(maxsize=1 << 14)
+def state_numbers(
+    problem_input: str, thoughts: tuple[str, ...]
+) -> tuple[Fraction, ...]:
+    """Numbers left after the thoughts, derived from the parent path's.
+
+    Memoised for the process, so each path is replayed once: a child costs
+    one apply_step on its parent's numbers. An invalid thought raises
+    InvalidArgumentError on every call; errors are not cached.
+    """
+    if not thoughts:
+        return tuple([Fraction(n) for n in parse_puzzle(problem_input)])
+    thought = thoughts[-1]
+    after = apply_step(state_numbers(problem_input, thoughts[:-1]), thought)
+    if after is None:
+        raise InvalidArgumentError(f"stored thought is invalid: {thought!r}")
+    return tuple(after)
+
+
 class Game24Task(TaskSpec):
     """Three combining steps, then one greedy expression composition."""
 
@@ -433,13 +456,7 @@ class Game24Task(TaskSpec):
     value_map = MappingProxyType({"sure": 20.0, "likely": 1.0, "impossible": 0.001})
 
     def current_numbers(self, state: State) -> list[Fraction]:
-        numbers = [Fraction(n) for n in parse_puzzle(state.input)]
-        for thought in state.thoughts:
-            after = apply_step(numbers, thought)
-            if after is None:
-                raise InvalidArgumentError(f"stored thought is invalid: {thought!r}")
-            numbers = after
-        return numbers
+        return list(state_numbers(state.input, state.thoughts))
 
     def propose_prompt(self, state: State, k: int) -> str:
         numbers = " ".join(format_number(n) for n in self.current_numbers(state))
@@ -452,14 +469,19 @@ class Game24Task(TaskSpec):
         )
 
     def parse_proposals(self, state: State, text: str, k: int) -> list[str]:
-        numbers = self.current_numbers(state)
+        """The valid steps among the lines, at most k. Checking a step derives
+        its child's numbers, so the child's own prompts replay nothing."""
+        state_numbers(state.input, state.thoughts)  # an invalid state raises
         proposals: list[str] = []
         for raw in text.splitlines():
             line = raw.strip()
             if not line:
                 continue
-            if apply_step(numbers, line) is not None:
-                proposals.append(line)
+            try:
+                state_numbers(state.input, state.thoughts + (line,))
+            except InvalidArgumentError:
+                continue
+            proposals.append(line)
         return proposals[:k]
 
     def value_prompt(self, state: State) -> str:

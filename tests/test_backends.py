@@ -40,6 +40,7 @@ from tout.backends import (
     ResponseCache,
     ScriptedBackend,
     SyntheticOracleBackend,
+    _READ_CHUNK,
     body_to_request,
     cached_generate,
     cached_generate_many,
@@ -937,6 +938,17 @@ class TestResponseCache:
         cache.put(key, response)
         assert cache.get(key) == response
 
+    @pytest.mark.parametrize("size", [_READ_CHUNK - 1, _READ_CHUNK, _READ_CHUNK + 1])
+    def test_entry_at_the_read_chunk_size_round_trips(self, tmp_path, size):
+        # one read serves an entry shorter than a chunk; a full one reads on
+        cache = ResponseCache(tmp_path)
+        key = ResponseCache.cache_key("b1", BackendRequest(prompt="p", temperature=0.5))
+        overhead = len(json.dumps({"completions": [""], "usage": None}))
+        response = BackendResponse(completions=("a" * (size - overhead),))
+        cache.put(key, response)
+        assert (tmp_path / f"{key}.json").stat().st_size == size
+        assert cache.get(key) == response
+
     def test_key_bytes_are_pinned(self):
         # cache entries written by earlier versions must keep hitting
         default = BackendRequest(prompt="p", temperature=0.5)
@@ -1135,6 +1147,11 @@ WRONG_SHAPES = [
     pytest.param({"completions": ["a"], "usage": 3}, "damaged cache entry",
                  id="usage"),
     pytest.param({"completions": ["a", "b"]}, "holds 2 completions", id="surplus"),
+    pytest.param([], "damaged cache entry", id="top-list"),
+    pytest.param(None, "damaged cache entry", id="top-null"),
+    pytest.param("text", "damaged cache entry", id="top-string"),
+    pytest.param(3, "damaged cache entry", id="top-number"),
+    pytest.param({}, "damaged cache entry", id="top-empty-object"),
 ]
 
 

@@ -373,6 +373,37 @@ class TestRunErrors:
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["run", "--task", "game24", "--backend", "scripted", "--script", "s.json",
+         "--dataset", "DIR"],
+        ["run", "--task", "crosswords", "--backend", "scripted", "--script", "s.json",
+         "--dataset", "DIR"],
+        ["run", "--task", "game24", "--backend", "scripted", "--dataset", "p.csv",
+         "--script", "DIR"],
+        ["check", "--task", "game24", "--dataset", "DIR"],
+        ["check", "--task", "crosswords", "--input", "DIR", "--answer", "x"],
+        ["check", "--task", "game24", "--input", "4 9 10 13", "--answer-file", "DIR"],
+    ], ids=["run-game24-dataset", "run-crosswords-dataset", "run-script",
+            "check-dataset", "check-crosswords-input", "check-answer-file"])
+    def test_directory_for_a_file_is_a_usage_error(self, tmp_path, capsys, flags):
+        write_game24_csv(tmp_path, [(1, "4 9 10 13")])  # p.csv
+        (tmp_path / "s.json").write_text("{}", encoding="utf-8")
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        argv = [{"DIR": str(folder), "p.csv": str(tmp_path / "puzzles.csv"),
+                 "s.json": str(tmp_path / "s.json")}.get(flag, flag) for flag in flags]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ")
+        assert str(folder) in err
+        assert out == ""
+
+    def test_directory_for_the_config_is_a_usage_error(self, tmp_path, capsys):
+        assert main(synthetic_argv("--config", str(tmp_path))) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read config file {tmp_path}" in err
+        assert "not found" not in err
+
     def test_start_past_end_of_dataset(self, tmp_path, capsys):
         dataset = write_game24_csv(tmp_path, [(1, "4 9 10 13")])
         argv = [

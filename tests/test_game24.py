@@ -11,13 +11,17 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tout import InvalidArgumentError, Transcript
-from tout.tasks import make_task
+from tout import InvalidArgumentError, SearchConfig, Transcript
+from tout.harness import run_benchmark
+from tout.tasks import Problem, make_task
+from tout.tasks import game24
 from tout.tasks.game24 import (
     BinOp,
     ExpressionError,
@@ -38,9 +42,10 @@ from tout.tasks.game24 import (
     parse_puzzle,
     parse_step,
     solution_verdicts,
+    state_numbers,
 )
 
-from helpers import make_state
+from helpers import EpisodeScript, make_state
 
 
 def expressions(max_depth=3):
@@ -409,6 +414,41 @@ class TestStepsAgreeWithFractionParser:
         assert parse_step(line) == reference_parse_step(line)
 
 
+SHARED_TASK = make_task("game24")
+
+
+def count_apply_step(monkeypatch) -> list[str]:
+    """The lines apply_step is called with from now on, in order."""
+    calls: list[str] = []
+    real = game24.apply_step
+
+    def counting(numbers, line):
+        calls.append(line)
+        return real(numbers, line)
+
+    monkeypatch.setattr(game24, "apply_step", counting)
+    return calls
+
+
+@st.composite
+def valid_paths(draw):
+    """(puzzle numbers, thoughts): up to 3 valid steps, as a model writes them."""
+    numbers = draw(st.lists(st.integers(1, 13), min_size=4, max_size=4))
+    pool = [Fraction(n) for n in numbers]
+    thoughts: list[str] = []
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.permutations(range(len(pool))))[:2]
+        a, b = pool[i], pool[j]
+        op = draw(st.sampled_from("+-*" if b == 0 else "+-*/"))
+        c = _REFERENCE_OPS[op](a, b)
+        pool = [n for k, n in enumerate(pool) if k not in (i, j)] + [c]
+        left = " ".join(format_number(n) for n in draw(st.permutations(pool)))
+        thoughts.append(
+            f"{format_number(a)} {op} {format_number(b)} = {format_number(c)} (left: {left})"
+        )
+    return numbers, tuple(thoughts)
+
+
 class TestCurrentNumbers:
     def test_replays_every_thought(self):
         task = make_task("game24")
@@ -424,6 +464,99 @@ class TestCurrentNumbers:
         task = make_task("game24")
         with pytest.raises(InvalidArgumentError, match="stored thought is invalid"):
             task.current_numbers(make_state("4 5 6 10", thoughts))
+
+    def test_valid_prefix_memoised_invalid_child_raises_every_call(self, monkeypatch):
+        task = make_task("game24")
+        prefix = ("4+5=9 (left: 6 9 10)", "10-6=4 (left: 4 9)")
+        assert task.current_numbers(make_state("4 5 6 10", prefix)) == [4, 9]
+        calls = count_apply_step(monkeypatch)
+        assert task.current_numbers(make_state("4 5 6 10", prefix)) == [4, 9]
+        assert calls == []  # the path is not replayed
+        child = make_state("4 5 6 10", prefix + ("4*9=24 (left: 25)",))
+        for attempt in range(1, 4):
+            with pytest.raises(InvalidArgumentError, match="stored thought is invalid"):
+                task.current_numbers(child)
+            assert len(calls) == attempt  # only the child's own step, each call
+        with pytest.raises(InvalidArgumentError, match="stored thought is invalid"):
+            task.parse_proposals(child, "24 - 0 = 24 (left: 24)", k=5)
+
+    def test_returned_list_is_the_callers(self):
+        task = make_task("game24")
+        state = make_state("4 5 6 10", ("4+5=9 (left: 6 9 10)",))
+        numbers = task.current_numbers(state)
+        numbers.append(Fraction(99))
+        numbers[0] = Fraction(0)
+        assert task.current_numbers(state) == [6, 9, 10]
+
+    @given(valid_paths())
+    def test_memo_agrees_with_a_straight_replay(self, case):
+        numbers, thoughts = case
+        puzzle = " ".join(str(n) for n in numbers)
+        replay = [Fraction(n) for n in numbers]
+        for depth in range(len(thoughts) + 1):
+            if depth:
+                replay = reference_apply_step(replay, thoughts[depth - 1])
+            state = make_state(puzzle, thoughts[:depth])
+            assert SHARED_TASK.current_numbers(state) == replay
+
+    def test_threads_sharing_the_memo_read_every_path_right(self):
+        # --jobs episodes share the memo: threads fill, hit and clear the
+        # same entries at once
+        paths = [("4 5 6 10", ("4+5=9 (left: 6 9 10)", "10-6=4 (left: 4 9)")),
+                 ("3 3 8 8", ("8/3=8/3 (left: 3 8 8/3)", "3-8/3=1/3 (left: 8 1/3)")),
+                 ("1 2 3 4", ("1+2=3 (left: 3 3 4)",))]
+        expected = {}
+        for puzzle, thoughts in paths:
+            numbers = [Fraction(n) for n in puzzle.split()]
+            for thought in thoughts:
+                numbers = reference_apply_step(numbers, thought)
+            expected[puzzle] = numbers
+
+        def read(i):
+            puzzle, thoughts = paths[i % len(paths)]
+            if i % 50 == 0:
+                state_numbers.cache_clear()
+            return puzzle, SHARED_TASK.current_numbers(make_state(puzzle, thoughts))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                results = list(pool.map(read, range(3000), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 3000
+        assert all(numbers == expected[puzzle] for puzzle, numbers in results)
+
+    def test_apply_step_calls_per_fresh_tout_bfs_episode(self, monkeypatch):
+        # k=2, b=1, T=3: each of the 3 expansions checks its 2 proposals,
+        # and each check derives a child's numbers, which the child's own
+        # prompts then reuse. A replay of every path on every prompt made 24.
+        config = SearchConfig(k=2, b=1, T=3, m=3)
+        task = make_task("game24")
+        episode = EpisodeScript(task=task, config=config)
+        steps = [
+            ("13 - 9 = 4 (left: 4 4 10)", "4 + 9 = 13 (left: 10 13 13)"),
+            ("10 - 4 = 6 (left: 4 6)", "4 + 4 = 8 (left: 8 10)"),
+            ("4 * 6 = 24 (left: 24)", "4 + 6 = 10 (left: 10)"),
+        ]
+        thoughts: tuple[str, ...] = ()
+        for right, wrong in steps:
+            episode.propose(make_state("4 9 10 13", thoughts), [right, wrong])
+            episode.value(make_state("4 9 10 13", thoughts + (right,)), ["sure"] * 3)
+            episode.value(make_state("4 9 10 13", thoughts + (wrong,)), ["impossible"] * 3)
+            thoughts += (right,)
+        episode.final(make_state("4 9 10 13", thoughts), "Answer: (13 - 9) * (10 - 4)")
+        backend = episode.backend()
+        problems = [Problem(problem_id="game24/0", input="4 9 10 13", truth="4 9 10 13")]
+        state_numbers.cache_clear()
+        calls = count_apply_step(monkeypatch)
+        report = run_benchmark(task, problems, "tout_bfs", lambda seed: backend, config)
+        assert report.results[0].record.verdicts["success"] == 1.0
+        assert len(calls) == 6
+        calls.clear()  # a replay of the same episode derives nothing again
+        run_benchmark(task, problems, "tout_bfs", lambda seed: backend, config)
+        assert calls == []
 
 
 class TestTaskAdapter:
