@@ -632,12 +632,14 @@ class ResponseCache:
     ) -> list[str]:
         """cache_key of each (request, batch index) draw, in order.
 
-        The digest and the JSON-encoded ``[backend_id,digest`` prefix of each
-        distinct prompt are built once for the call; per draw only the tail
-        is formatted and the whole hashed. A draw whose tail holds anything
-        but plain ints (a bool n, say) is keyed by cache_key itself.
+        The JSON-encoded ``[backend_id,digest`` prefix of each distinct
+        prompt is hashed once for the call; per draw the prefix's hash is
+        copied and only the tail is formatted and hashed. The encoder
+        escapes to ASCII, so the bytes hashed are cache_key's. A draw whose
+        tail holds anything but plain ints (a bool n, say) is keyed by
+        cache_key itself.
         """
-        prefixes: dict[str, str] = {}
+        prefixes: dict[str, Any] = {}  # prompt -> sha256 of its key prefix
         keys: list[str] = []
         for request, batch_index in draws:
             t = quantize_temperature(request.temperature)
@@ -648,10 +650,13 @@ class ResponseCache:
             prefix = prefixes.get(request.prompt)
             if prefix is None:
                 head = [backend_id, prompt_digest(request.prompt)]
-                prefix = prefixes[request.prompt] = _KEY_ENCODER.encode(head)[:-1]
+                prefix = prefixes[request.prompt] = hashlib.sha256(
+                    _KEY_ENCODER.encode(head)[:-1].encode()
+                )
             stop_json = _KEY_ENCODER.encode(list(stop)) if stop else "null"
-            payload = f"{prefix},{t},{n},{max_tokens},{stop_json},{batch_index}]"
-            keys.append(hashlib.sha256(payload.encode("utf-8")).hexdigest())
+            digest = prefix.copy()
+            digest.update(f",{t},{n},{max_tokens},{stop_json},{batch_index}]".encode())
+            keys.append(digest.hexdigest())
         return keys
 
     def _path(self, key: str) -> str:
@@ -681,13 +686,15 @@ class ResponseCache:
         try:
             data = _DECODER.decode(blob.decode("utf-8"))
             completions, usage = data["completions"], data.get("usage")
-            if not isinstance(completions, list) or not all(
-                isinstance(text, str) for text in completions
-            ):
+            # JSON decodes to exact lists, strings and dicts, never subclasses
+            if type(completions) is not list:
                 raise TypeError("completions is not a list of strings")
-            if usage is not None and not isinstance(usage, dict):
+            for text in completions:
+                if type(text) is not str:
+                    raise TypeError("completions is not a list of strings")
+            if usage is not None and type(usage) is not dict:
                 raise TypeError("usage is neither an object nor null")
-            return BackendResponse(completions=tuple(completions), usage=usage)
+            return BackendResponse(tuple(completions), usage)
         except (ValueError, KeyError, TypeError) as exc:  # ValueError: UTF-8, JSON
             log.warning("damaged cache entry %s treated as a miss: %s", key, exc)
             return None
@@ -761,12 +768,13 @@ def cached_generate_many(
     synthetic runs. On a wider backend every request goes through
     ``backend.executor()``, the pool that bounds its requests in flight:
     the first ``next()`` makes one ``ResponseCache.get`` per draw, in
-    order, and submits the misses all at once; hits are served inline. A
-    miss whose cache key an earlier miss of the batch already carries is
-    not issued with them: once the earlier response is put, it is served
-    that response, as the sequential loop would have read it from the
-    cache (no ``generate`` event, no ``put``); if that put failed, it goes
-    through cached_generate in its turn, as in the sequential loop.
+    order, and submits the misses all at once; hits are served inline,
+    and a batch of hits alone is served as read, touching no pool. A miss
+    whose cache key an earlier miss of the batch already carries is not
+    issued with them: once the earlier response is put, it is served that
+    response, as the sequential loop would have read it from the cache (no
+    ``generate`` event, no ``put``); if that put failed, it goes through
+    cached_generate in its turn, as in the sequential loop.
     Without an enabled cache every miss is issued. Response i is yielded
     as soon as it is done, after it is cached and its buffered transcript
     events are replayed, so the transcript, the cache and the backend
@@ -790,9 +798,14 @@ def cached_generate_many(
         return
     responses: list[Optional[BackendResponse]] = [None] * len(draws)
     if keys:
-        responses = [
-            _lookup(cache, key, request) for key, (request, _) in zip(keys, draws)
-        ]
+        missed = False
+        for i, (request, _) in enumerate(draws):
+            hit = responses[i] = _lookup(cache, keys[i], request)
+            if hit is None:
+                missed = True
+        if not missed:  # nothing to issue, buffer or wait for
+            yield from responses
+            return
     issued: dict[str, int] = {}  # cache key -> the miss that issues it
     twins: dict[int, int] = {}  # later miss -> earlier miss with its key
     misses: list[int] = []

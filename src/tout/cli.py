@@ -346,11 +346,23 @@ def cmd_run(args: argparse.Namespace) -> int:
     run_id = _opt(args, ini, "run_id", "") or (
         default_run_id(task_name, method, config) + RUN_ID_SUFFIX[args.command]
     )
+    # the outputs are written after the last episode: check them before the first
+    if out is not None and Path(out).is_dir():
+        raise InvalidArgumentError(f"--out {out} is a directory")
+    if out is not None and not Path(out).parent.is_dir():
+        raise InvalidArgumentError(f"--out {out}: no directory {Path(out).parent}")
     out_path = Path(out_dir) if out_dir else None
-    if out_path is not None and records is None:
-        transcripts = out_path / "transcripts"
-        transcripts.mkdir(parents=True, exist_ok=True)
-        records = str(transcripts / f"{run_id}.jsonl")
+    if out_path is not None:
+        try:
+            (out_path / "results").mkdir(parents=True, exist_ok=True)
+            if records is None:
+                transcripts = out_path / "transcripts"
+                transcripts.mkdir(parents=True, exist_ok=True)
+                records = str(transcripts / f"{run_id}.jsonl")
+        except OSError as exc:
+            raise InvalidArgumentError(
+                f"--out-dir {out_dir}: cannot create {exc.filename}: {exc.strerror}"
+            ) from None
 
     cache = ResponseCache(cache_dir) if cache_dir else None
     run_args = (task, problems, method, factory, config)
@@ -371,7 +383,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     _deliver(emit_results(rows, fmt=fmt), out)
     if out_path is not None:
         results_dir = out_path / "results"
-        results_dir.mkdir(parents=True, exist_ok=True)
         (results_dir / f"{run_id}.csv").write_text(
             emit_results(rows, fmt="csv"), encoding="utf-8"
         )

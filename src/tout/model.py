@@ -8,6 +8,7 @@ single search loop owns all writes to the state store.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -314,6 +315,17 @@ class RunRecord:
 _WORD = re.compile(r"[a-z]+")
 
 
+# A state's m draws often answer with the same few label texts, and a replay
+# reads them again: each (task class, text) is decoded once per process.
+@functools.lru_cache(maxsize=4096)
+def _decode_label(task_class: type[TaskSpec], text: str) -> float:
+    value_map = task_class.value_map
+    for word in reversed(_WORD.findall(text.lower())):
+        if word in value_map:
+            return value_map[word]
+    return task_class.min_value
+
+
 class TaskSpec:
     """Pluggable task contract.
 
@@ -341,11 +353,14 @@ class TaskSpec:
 
     def parse_value(self, text: str) -> float:
         """The value of the last value_map label in the text, in any case,
-        or min_value when it has none."""
-        for word in reversed(_WORD.findall(text.lower())):
-            if word in self.value_map:
-                return self.value_map[word]
-        return self.min_value
+        or min_value when it has none.
+
+        Each distinct text is decoded once per task class, through a
+        bounded memo shared by the whole process, which reads value_map and
+        min_value from the class: the value must be a pure function of the
+        text. A task that overrides parse_value bypasses the memo.
+        """
+        return _decode_label(type(self), text)
 
     def is_terminal(self, state: State) -> bool:
         return state.depth >= self.max_steps

@@ -23,6 +23,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -32,6 +33,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tout
+from helpers import EpisodeScript, make_state
 from tout.backends import (
     Backend,
     BackendRequest,
@@ -49,13 +51,14 @@ from tout.backends import (
     quantize_temperature,
     request_to_body,
 )
-from tout.harness import run_benchmark, synthetic_setup
+from tout.harness import Problem, run_benchmark, synthetic_setup
 from tout.model import (
     BackendUnavailableError,
     InvalidArgumentError,
     SearchConfig,
     Transcript,
 )
+from tout.tasks import make_task
 from tout.tasks.synthetic import build_trap_benchmark
 
 
@@ -921,6 +924,63 @@ class _WideCountingBackend(_CountingBackend):
             return super().generate(request)
 
 
+class _PoolCountingBackend(_WideCountingBackend):
+    """A wide counting backend that counts the times its pool is taken."""
+
+    def __init__(self):
+        super().__init__()
+        self.pool_taken = 0
+
+    def executor(self):
+        self.pool_taken += 1
+        return super().executor()
+
+
+class _WideScriptedBackend(ScriptedBackend):
+    """A scripted backend as wide as HttpBackend's default pool."""
+
+    max_in_flight = 4
+
+    def __init__(self, script, default=""):
+        super().__init__(script, default)
+        self.pool_taken = 0
+        self._pool = ThreadPoolExecutor(max_workers=self.max_in_flight)
+
+    def executor(self):
+        self.pool_taken += 1
+        return self._pool
+
+    def close(self):
+        self._pool.shutdown(wait=True)
+
+
+def _game24_episode(config):
+    """A scripted game24 tout_bfs episode that solves 4 9 10 13, and the
+    kind (propose, value or final) of each prompt it issues."""
+    task = make_task("game24")
+    episode = EpisodeScript(task=task, config=config)
+    kinds = {}
+    steps = [
+        ("13 - 9 = 4 (left: 4 4 10)", "4 + 9 = 13 (left: 10 13 13)"),
+        ("10 - 4 = 6 (left: 4 6)", "4 + 4 = 8 (left: 8 10)"),
+        ("4 * 6 = 24 (left: 24)", "4 + 6 = 10 (left: 10)"),
+    ]
+    thoughts: tuple[str, ...] = ()
+    for right, wrong in steps:
+        state = make_state("4 9 10 13", thoughts)
+        episode.propose(state, [right, wrong])
+        kinds[task.propose_prompt(state, config.k)] = "propose"
+        for thought, label in ((right, "sure"), (wrong, "impossible")):
+            child = make_state("4 9 10 13", thoughts + (thought,))
+            episode.value(child, [label] * config.m)
+            kinds[task.value_prompt(child)] = "value"
+        thoughts += (right,)
+    final = make_state("4 9 10 13", thoughts)
+    episode.final(final, "Answer: (13 - 9) * (10 - 4)")
+    kinds[task.final_prompt(final)] = "final"
+    return task, episode.script, kinds
+
+
 class TestResponseCache:
     def test_round_trip(self, tmp_path):
         cache = ResponseCache(tmp_path)
@@ -1016,10 +1076,12 @@ class TestResponseCache:
                 stop=data.draw(stops, label="stop"),
             )
             draws.append((request, data.draw(st.integers(), label="batch index")))
-        assert ResponseCache.batch_keys(backend_id, draws) == [
-            ResponseCache.cache_key(backend_id, request, index)
-            for request, index in draws
-        ]
+        expected = [ResponseCache.cache_key(backend_id, request, index)
+                    for request, index in draws]
+        assert ResponseCache.batch_keys(backend_id, draws) == expected
+        # each draw hashes its tail onto a copy of its prompt's prefix hash,
+        # so no draw's tail leaks into another's, in either order
+        assert ResponseCache.batch_keys(backend_id, draws[::-1]) == expected[::-1]
 
     def test_cached_generate_serves_repeat_from_disk(self, tmp_path):
         cache = ResponseCache(tmp_path)
@@ -1103,18 +1165,93 @@ class TestResponseCache:
         finally:
             cold.close()
         assert cold.calls == 6
-        warm = _WideCountingBackend()
+        warm = _PoolCountingBackend()
         seen = []
         inner = cache.get
         cache.get = lambda key: seen.append(key) or inner(key)  # as the bench wraps it
+        transcript = Transcript()
         try:
-            served = list(cached_generate_many(cache, warm, draws))
+            served = list(cached_generate_many(cache, warm, draws, transcript))
         finally:
             warm.close()
         assert served == filled
         assert warm.calls == 0
+        assert warm.pool_taken == 0  # a batch of hits alone is served as read
+        assert transcript.events == []
         assert seen == [ResponseCache.cache_key(warm.backend_id, request, index)
                         for request, index in draws]
+
+    def test_half_warm_batch_issues_only_its_misses(self, tmp_path):
+        # the wide path must leave what the reference sequential loop leaves
+        draws = [(BackendRequest(prompt=f"p{i % 2}", temperature=0.5), i)
+                 for i in range(6)]
+
+        def run(backend, cache_dir):
+            cache = ResponseCache(cache_dir)
+            for i in (0, 2, 4):  # every p0 draw is warm, every p1 draw cold
+                key = ResponseCache.cache_key(backend.backend_id, *draws[i])
+                cache.put(key, BackendResponse(completions=("cached",)))
+            seen = []
+            inner = cache.get
+            cache.get = lambda key: seen.append(key) or inner(key)
+            transcript = Transcript()
+            served = list(cached_generate_many(cache, backend, draws, transcript))
+            events = [{k: v for k, v in event.items() if k != "latency_ms"}
+                      for event in transcript.events]
+            return served, events, seen
+
+        sequential = _CountingBackend()
+        wide = _PoolCountingBackend()
+        try:
+            expected = run(sequential, tmp_path / "sequential")
+            got = run(wide, tmp_path / "wide")
+        finally:
+            wide.close()
+        assert got == expected
+        assert sequential.calls == wide.calls == 3
+        assert wide.pool_taken == 1
+        served, events, seen = got
+        assert [r.completions for r in served] == [("cached",), ("x",)] * 3
+        assert [event["event"] for event in events] == ["generate"] * 3
+        assert {event["prompt_digest"] for event in events} == {prompt_digest("p1")}
+        assert len(seen) == len(draws)
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["sequential", "pooled"])
+    def test_warm_game24_episode_reads_one_entry_per_draw(self, tmp_path, wide):
+        config = SearchConfig(k=2, b=1, T=3, m=3)
+        task, script, kinds = _game24_episode(config)
+        backend = _WideScriptedBackend(script) if wide else ScriptedBackend(script)
+        issued = []
+        inner_generate = backend.generate
+        backend.generate = lambda request: (
+            issued.append(kinds[request.prompt]) or inner_generate(request)
+        )
+        cache = ResponseCache(tmp_path)
+        put, seen = [], []
+        inner_put, inner_get = cache.put, cache.get
+        cache.put = lambda key, response: put.append(key) or inner_put(key, response)
+        cache.get = lambda key: seen.append(key) or inner_get(key)
+        problems = [Problem(problem_id="game24/0", input="4 9 10 13", truth="4 9 10 13")]
+
+        def records():
+            report = run_benchmark(task, problems, "tout_bfs", lambda seed: backend,
+                                   config, cache=cache)
+            return [r.record.to_json() for r in report.results]
+
+        try:
+            cold = records()
+            assert Counter(issued) == {"propose": 3, "value": 18, "final": 1}
+            issued.clear()
+            seen.clear()
+            pool_taken = getattr(backend, "pool_taken", 0)
+            assert records() == cold
+        finally:
+            if wide:
+                backend.close()
+        assert issued == []
+        assert seen == put  # one read per draw, in the cold run's order
+        assert len(seen) == 22
+        assert getattr(backend, "pool_taken", 0) == pool_taken
 
     def test_failed_put_leaves_the_old_entry_whole(self, tmp_path, monkeypatch):
         cache = ResponseCache(tmp_path)

@@ -458,6 +458,30 @@ class TestRunErrors:
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--out", "{dir}", "--records", "{records}"], "{dir}"),
+        (["--out", "{missing}/table.csv", "--records", "{records}"],
+         "{missing}/table.csv"),
+        (["--out-dir", "{file}", "--records", "{records}"], "{file}"),
+        (["--out-dir", "{file}"], "{file}"),
+    ], ids=["out-a-directory", "out-in-a-missing-directory",
+            "out-dir-a-file-with-records", "out-dir-a-file"])
+    def test_unwritable_output_stops_before_any_episode(
+        self, tmp_path, capsys, flags, named
+    ):
+        (tmp_path / "folder").mkdir()
+        (tmp_path / "plain").write_text("not a directory", encoding="utf-8")
+        paths = {"dir": tmp_path / "folder", "file": tmp_path / "plain",
+                 "missing": tmp_path / "absent", "records": tmp_path / "r.jsonl"}
+        argv = ["run", "--task", "synthetic", "--depth", "3", "--episodes", "20"]
+        argv += [flag.format(**paths) for flag in flags]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and named.format(**paths) in err
+        assert out == ""
+        assert list(tmp_path.rglob("*.jsonl")) == []  # no record was written
+        assert (tmp_path / "plain").read_text(encoding="utf-8") == "not a directory"
+
 
 # Input files that do not parse: (file name, text, what it feeds: the config,
 # the script or the named task's dataset, message).

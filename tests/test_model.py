@@ -7,6 +7,7 @@ import math
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tout.model import (
     RECORD_EVENT_KINDS,
@@ -19,6 +20,7 @@ from tout.model import (
     State,
     StateStore,
     Transcript,
+    _decode_label,
     extend_state,
 )
 from tout.tasks import make_task
@@ -215,6 +217,32 @@ class TestRunRecord:
         assert keys == sorted(keys)
 
 
+# one instance per task, shared across examples, as a run shares its task
+SHARED_TASKS = {name: make_task(name) for name in ("game24", "crosswords")}
+
+LABEL_TEXTS = st.lists(
+    st.one_of(
+        st.sampled_from(["sure", "likely", "maybe", "impossible", "SURE", "Maybe",
+                         "imPossible", "unsure", "likely."]),
+        st.text(max_size=6),
+    ),
+    max_size=5,
+).flatmap(lambda words: st.sampled_from([" ", "\n", ""]).map(lambda sep: sep.join(words)))
+
+
+def reference_label_value(task, text):
+    """The last value_map label in the text, scanned one character at a time."""
+    value, word = task.min_value, ""
+    for char in text.lower() + " ":
+        if "a" <= char <= "z":
+            word += char
+            continue
+        if word in task.value_map:
+            value = task.value_map[word]
+        word = ""
+    return value
+
+
 class TestParseValue:
     """One decoder reads both tasks' value labels: the last label wins, in
     any case; text with none of the task's labels reads min_value."""
@@ -242,6 +270,30 @@ class TestParseValue:
     def test_value_map_is_read_only(self):
         with pytest.raises(TypeError):
             make_task("game24").value_map["sure"] = 1.0
+
+    @given(st.lists(st.tuples(st.sampled_from(["game24", "crosswords"]), LABEL_TEXTS),
+                    max_size=20))
+    def test_interleaved_tasks_match_an_unmemoised_decoder(self, texts):
+        for task_name, text in texts:
+            task = SHARED_TASKS[task_name]
+            assert task.parse_value(text) == reference_label_value(task, text)
+
+    def test_shared_labels_keep_their_value_per_task(self):
+        # game24 reads maybe as min_value, crosswords reads it as 1.0
+        game24, crosswords = SHARED_TASKS["game24"], SHARED_TASKS["crosswords"]
+        for _ in range(3):
+            assert game24.parse_value("maybe") == 0.001
+            assert crosswords.parse_value("maybe") == 1.0
+            assert game24.parse_value("likely") == 1.0
+            assert crosswords.parse_value("likely") == 0.001
+
+    def test_memo_stays_within_its_bound(self):
+        bound = _decode_label.cache_info().maxsize
+        task = SHARED_TASKS["game24"]
+        for i in range(bound + 100):
+            assert task.parse_value(f"step {i}: likely") == 1.0
+        assert _decode_label.cache_info().currsize <= bound
+        assert task.parse_value(f"step {bound + 99}: likely") == 1.0
 
 
 def test_search_exhausted_error_carries_state():
