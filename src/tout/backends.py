@@ -578,6 +578,21 @@ _READ_CHUNK = 64 * 1024
 _DECODER = json.JSONDecoder()
 
 
+def _decode_entry(text: str) -> Any:
+    """_DECODER.decode(text), read in one raw_decode when it can be.
+
+    put writes an object with nothing around it, which raw_decode reads
+    whole without decode's two whitespace scans. Any other text (padded,
+    followed by more data, or not JSON) goes to decode, which accepts or
+    rejects it as before.
+    """
+    try:
+        data, end = _DECODER.raw_decode(text)
+    except ValueError:
+        end = -1
+    return data if end == len(text) else _DECODER.decode(text)
+
+
 class ResponseCache:
     """Content-addressed response cache: one JSON file per key digest.
 
@@ -634,8 +649,8 @@ class ResponseCache:
 
         The JSON-encoded ``[backend_id,digest`` prefix of each distinct
         prompt is hashed once for the call; per draw the prefix's hash is
-        copied and only the tail is formatted and hashed. The encoder
-        escapes to ASCII, so the bytes hashed are cache_key's. A draw whose
+        copied and only the tail is formatted and hashed: the prefix and
+        tail bytes concatenate to cache_key's payload. A draw whose
         tail holds anything but plain ints (a bool n, say) is keyed by
         cache_key itself.
         """
@@ -684,17 +699,15 @@ class ResponseCache:
             log.warning("cache read failed for %s: %s", key, exc)
             return None
         try:
-            data = _DECODER.decode(blob.decode("utf-8"))
+            data = _decode_entry(blob.decode("utf-8"))
             completions, usage = data["completions"], data.get("usage")
-            # JSON decodes to exact lists, strings and dicts, never subclasses
-            if type(completions) is not list:
+            if not isinstance(completions, list) or not all(
+                isinstance(text, str) for text in completions
+            ):
                 raise TypeError("completions is not a list of strings")
-            for text in completions:
-                if type(text) is not str:
-                    raise TypeError("completions is not a list of strings")
-            if usage is not None and type(usage) is not dict:
+            if usage is not None and not isinstance(usage, dict):
                 raise TypeError("usage is neither an object nor null")
-            return BackendResponse(tuple(completions), usage)
+            return BackendResponse(completions=tuple(completions), usage=usage)
         except (ValueError, KeyError, TypeError) as exc:  # ValueError: UTF-8, JSON
             log.warning("damaged cache entry %s treated as a miss: %s", key, exc)
             return None
@@ -768,13 +781,12 @@ def cached_generate_many(
     synthetic runs. On a wider backend every request goes through
     ``backend.executor()``, the pool that bounds its requests in flight:
     the first ``next()`` makes one ``ResponseCache.get`` per draw, in
-    order, and submits the misses all at once; hits are served inline,
-    and a batch of hits alone is served as read, touching no pool. A miss
-    whose cache key an earlier miss of the batch already carries is not
-    issued with them: once the earlier response is put, it is served that
-    response, as the sequential loop would have read it from the cache (no
-    ``generate`` event, no ``put``); if that put failed, it goes through
-    cached_generate in its turn, as in the sequential loop.
+    order, and submits the misses all at once; hits are served inline. A
+    miss whose cache key an earlier miss of the batch already carries is
+    not issued with them: once the earlier response is put, it is served
+    that response, as the sequential loop would have read it from the
+    cache (no ``generate`` event, no ``put``); if that put failed, it goes
+    through cached_generate in its turn, as in the sequential loop.
     Without an enabled cache every miss is issued. Response i is yielded
     as soon as it is done, after it is cached and its buffered transcript
     events are replayed, so the transcript, the cache and the backend
@@ -798,14 +810,9 @@ def cached_generate_many(
         return
     responses: list[Optional[BackendResponse]] = [None] * len(draws)
     if keys:
-        missed = False
-        for i, (request, _) in enumerate(draws):
-            hit = responses[i] = _lookup(cache, keys[i], request)
-            if hit is None:
-                missed = True
-        if not missed:  # nothing to issue, buffer or wait for
-            yield from responses
-            return
+        responses = [
+            _lookup(cache, key, request) for key, (request, _) in zip(keys, draws)
+        ]
     issued: dict[str, int] = {}  # cache key -> the miss that issues it
     twins: dict[int, int] = {}  # later miss -> earlier miss with its key
     misses: list[int] = []

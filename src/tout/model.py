@@ -8,7 +8,6 @@ single search loop owns all writes to the state store.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
@@ -312,18 +311,12 @@ class RunRecord:
         )
 
 
-_WORD = re.compile(r"[a-z]+")
-
-
-# A state's m draws often answer with the same few label texts, and a replay
-# reads them again: each (task class, text) is decoded once per process.
-@functools.lru_cache(maxsize=4096)
-def _decode_label(task_class: type[TaskSpec], text: str) -> float:
-    value_map = task_class.value_map
-    for word in reversed(_WORD.findall(text.lower())):
-        if word in value_map:
-            return value_map[word]
-    return task_class.min_value
+def _last_label_pattern(labels: Iterable[str]) -> re.Pattern[str]:
+    """A pattern whose first match in a reversed, lowercased text is the
+    text's last label, spelled backwards. A label is a whole run of a-z
+    letters, so a key with any other character never matches."""
+    words = [label[::-1] for label in labels if re.fullmatch("[a-z]+", label)]
+    return re.compile(f"(?<![a-z])(?:{'|'.join(words) or '(?!)'})(?![a-z])")
 
 
 class TaskSpec:
@@ -341,6 +334,11 @@ class TaskSpec:
     min_value: float = 0.001
     # the evaluator's value labels (ToT's sure/likely/impossible) and their values
     value_map: Mapping[str, float] = MappingProxyType({})
+    _last_label = _last_label_pattern(value_map)
+
+    def __init_subclass__(cls, **kwargs: Any):
+        super().__init_subclass__(**kwargs)
+        cls._last_label = _last_label_pattern(cls.value_map)
 
     def propose_prompt(self, state: State, k: int) -> str:
         raise NotImplementedError
@@ -355,12 +353,12 @@ class TaskSpec:
         """The value of the last value_map label in the text, in any case,
         or min_value when it has none.
 
-        Each distinct text is decoded once per task class, through a
-        bounded memo shared by the whole process, which reads value_map and
-        min_value from the class: the value must be a pure function of the
-        text. A task that overrides parse_value bypasses the memo.
+        The reversed text is searched, so the scan stops at the last label
+        rather than splitting the whole text into words. The labels are
+        read from the class's value_map when the class is created.
         """
-        return _decode_label(type(self), text)
+        match = self._last_label.search(text.lower()[::-1])
+        return self.value_map[match[0][::-1]] if match else self.min_value
 
     def is_terminal(self, state: State) -> bool:
         return state.depth >= self.max_steps

@@ -43,6 +43,7 @@ from tout.backends import (
     ScriptedBackend,
     SyntheticOracleBackend,
     _READ_CHUNK,
+    _decode_entry,
     body_to_request,
     cached_generate,
     cached_generate_many,
@@ -981,6 +982,15 @@ def _game24_episode(config):
     return task, episode.script, kinds
 
 
+# JSON values without floats, whose NaN would not equal itself
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
 class TestResponseCache:
     def test_round_trip(self, tmp_path):
         cache = ResponseCache(tmp_path)
@@ -1154,6 +1164,43 @@ class TestResponseCache:
         with caplog.at_level(logging.WARNING, logger="tout.backends"):
             assert cache.get("0" * 64) is None
         assert caplog.text == ""
+
+    @given(
+        JSON_VALUES,
+        st.sampled_from([None, 2]),
+        st.sampled_from(["", " ", "\n", " \t\r\n"]),
+        st.sampled_from(["", " ", "\n", "x", "{}", "]", " 1"]),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_entry_text_decodes_as_json_loads_decodes_it(
+        self, value, indent, before, after, cut
+    ):
+        text = before + json.dumps(value, indent=indent) + after
+        text = text[: len(text) - cut]
+        try:
+            expected = json.loads(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _decode_entry(text)
+        else:
+            assert _decode_entry(text) == expected
+
+    @pytest.mark.parametrize("text, hit", [
+        ('{"completions": ["a"]}', True),
+        (' \n{"completions": ["a"]}\n', True),
+        ('{\n  "completions": [\n    "a"\n  ]\n}', True),
+        ('{"completions": ["a"]} x', False),
+        ('{"completions": ["a"]}{"completions": ["b"]}', False),
+        ("", False),
+    ], ids=["as-put", "padded", "indented", "trailing-text", "two-objects", "empty"])
+    def test_entry_reads_as_json_loads_reads_it(self, tmp_path, caplog, text, hit):
+        cache = ResponseCache(tmp_path)
+        key = "0" * 64
+        (tmp_path / f"{key}.json").write_text(text, encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="tout.backends"):
+            got = cache.get(key)
+        assert got == (BackendResponse(completions=("a",)) if hit else None)
+        assert ("damaged cache entry" in caplog.text) is not hit
 
     def test_warm_batch_reads_each_draw_once_and_calls_nothing(self, tmp_path):
         cache = ResponseCache(tmp_path)

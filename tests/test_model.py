@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,8 +20,8 @@ from tout.model import (
     SearchExhaustedError,
     State,
     StateStore,
+    TaskSpec,
     Transcript,
-    _decode_label,
     extend_state,
 )
 from tout.tasks import make_task
@@ -271,29 +272,28 @@ class TestParseValue:
         with pytest.raises(TypeError):
             make_task("game24").value_map["sure"] = 1.0
 
+    def test_a_task_class_reads_its_own_labels(self):
+        class Graded(TaskSpec):
+            min_value = -1.0
+            value_map = MappingProxyType(
+                {"good": 2.0, "goodish": 1.0, "Bad": 0.0, "so so": 0.5}
+            )
+
+        task = Graded()
+        assert task.parse_value("good, then goodish") == 1.0
+        assert task.parse_value("goodish, then GOOD.") == 2.0
+        assert task.parse_value("goodness") == -1.0  # labels are whole words
+        # a key that is not one run of a-z letters never matches
+        assert task.parse_value("Bad") == -1.0
+        assert task.parse_value("so so") == -1.0
+        assert TaskSpec().parse_value("good") == TaskSpec.min_value
+
     @given(st.lists(st.tuples(st.sampled_from(["game24", "crosswords"]), LABEL_TEXTS),
                     max_size=20))
-    def test_interleaved_tasks_match_an_unmemoised_decoder(self, texts):
+    def test_interleaved_tasks_match_a_reference_decoder(self, texts):
         for task_name, text in texts:
             task = SHARED_TASKS[task_name]
             assert task.parse_value(text) == reference_label_value(task, text)
-
-    def test_shared_labels_keep_their_value_per_task(self):
-        # game24 reads maybe as min_value, crosswords reads it as 1.0
-        game24, crosswords = SHARED_TASKS["game24"], SHARED_TASKS["crosswords"]
-        for _ in range(3):
-            assert game24.parse_value("maybe") == 0.001
-            assert crosswords.parse_value("maybe") == 1.0
-            assert game24.parse_value("likely") == 1.0
-            assert crosswords.parse_value("likely") == 0.001
-
-    def test_memo_stays_within_its_bound(self):
-        bound = _decode_label.cache_info().maxsize
-        task = SHARED_TASKS["game24"]
-        for i in range(bound + 100):
-            assert task.parse_value(f"step {i}: likely") == 1.0
-        assert _decode_label.cache_info().currsize <= bound
-        assert task.parse_value(f"step {bound + 99}: likely") == 1.0
 
 
 def test_search_exhausted_error_carries_state():
