@@ -46,32 +46,64 @@ log = logging.getLogger(__name__)
 
 DEFAULT_MAX_TOKENS = 512
 
+# HttpBackend's pool width. A search step sends k*m value draws at once (100
+# at the game24 settings, k=5, m=20): 32 sends them in 4 round trips; 64
+# made game24 episodes no faster on a loopback stub and cost more memory.
+DEFAULT_MAX_IN_FLIGHT = 32
+
 ENV_API_BASE = "TOUT_API_BASE"
 ENV_API_KEY = "TOUT_API_KEY"
 ENV_MODEL = "TOUT_MODEL"
 
 
+_set_field = object.__setattr__  # sets a field of a frozen instance
+
+
 # Slotted: a value draw builds one request and one response, and an instance
 # dict for each would be one more allocation per draw.
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BackendRequest:
     prompt: str
     temperature: float
-    n: int = 1
-    max_tokens: int = DEFAULT_MAX_TOKENS
-    stop: Optional[tuple[str, ...]] = None
+    n: int
+    max_tokens: int
+    stop: Optional[tuple[str, ...]]
+    # The draw's cache batch index. Neither sent nor keyed (request_to_body
+    # and cache_key leave it out): a backend that answers from a stream per
+    # prompt serves draw ``index`` of it; None asks for the next draws.
+    index: Optional[int]
 
-    def __post_init__(self):
-        if not math.isfinite(self.temperature):
-            raise InvalidArgumentError("temperature must be finite")
-        if not (0.0 <= self.temperature <= MAX_TEMPERATURE):
+    # Written out rather than generated: the generated __init__ checks its
+    # arguments in a __post_init__ call after setting every field, which
+    # costs about as much as one more field, and a value draw builds one.
+    def __init__(
+        self,
+        prompt: str,
+        temperature: float,
+        n: int = 1,
+        max_tokens: int = DEFAULT_MAX_TOKENS,
+        stop: Optional[tuple[str, ...]] = None,
+        index: Optional[int] = None,
+    ):
+        # one test passes a temperature in range; NaN and infinities fail it
+        if not (0.0 <= temperature <= MAX_TEMPERATURE):
+            if not math.isfinite(temperature):
+                raise InvalidArgumentError("temperature must be finite")
             raise InvalidArgumentError(
                 f"temperature must be within [0, {MAX_TEMPERATURE:g}]"
             )
-        if self.n < 1:
+        if n < 1:
             raise InvalidArgumentError("n must be >= 1")
-        if self.max_tokens < 1:
+        if max_tokens < 1:
             raise InvalidArgumentError("max_tokens must be >= 1")
+        if index is not None and index < 0:
+            raise InvalidArgumentError("index must be >= 0")
+        _set_field(self, "prompt", prompt)
+        _set_field(self, "temperature", temperature)
+        _set_field(self, "n", n)
+        _set_field(self, "max_tokens", max_tokens)
+        _set_field(self, "stop", stop)
+        _set_field(self, "index", index)
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,6 +157,10 @@ class Backend:
     Backends wider than 1 also provide ``executor()``, a pool of that width
     through which the engine sends every request it makes to them, from
     every thread; a backend of width 1 is called on the caller's thread.
+    HttpBackend is DEFAULT_MAX_IN_FLIGHT (32) wide, so a search step's
+    k*m value draws go out in a few round trips; the in-process backends
+    are 1 wide. A request's ``index`` is its draw's cache batch index, for
+    a backend whose answers depend on it rather than on call order.
     """
 
     backend_id: str = "backend"
@@ -132,6 +168,10 @@ class Backend:
 
     def generate(self, request: BackendRequest) -> BackendResponse:
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release what the backend holds open; the in-process ones hold
+        nothing."""
 
 
 def generate(
@@ -211,7 +251,10 @@ class HttpBackend(Backend):
     retry with exponential backoff before raising BackendUnavailableError
     with the last HTTP status; a 429 whose Retry-After gives seconds waits
     at least that long, unless it asks for more than
-    ``backoff_s * 2**max_retries``, which fails at once.
+    ``backoff_s * 2**max_retries``, which fails at once. Such a 429 pauses
+    the whole pool: no thread sends a request, first tries included, until
+    the Retry-After has passed, so the others do not spend their retries
+    on a rate limit.
 
     Requests go over the standard library's http.client: each thread keeps
     one keep-alive connection to the endpoint, opened on its first request
@@ -225,9 +268,11 @@ class HttpBackend(Backend):
     caller. The engine sends every request it makes through it (see
     cached_generate_many), so the pool alone bounds the requests on the
     wire, across all ``--jobs`` threads; a direct ``generate()`` call
-    outside the pool is not bounded. ``close()`` shuts the pool down and
-    closes every connection, and the backend reopens what it needs if used
-    again.
+    outside the pool is not bounded. The default width,
+    DEFAULT_MAX_IN_FLIGHT = 32, sends a 100-draw search step in 4 round
+    trips rather than 13 at 8 (README, "Backends"). Threads start only as
+    requests arrive. ``close()`` shuts the pool down and closes
+    every connection, and the backend reopens what it needs if used again.
     """
 
     def __init__(
@@ -238,7 +283,7 @@ class HttpBackend(Backend):
         max_retries: int = 3,
         backoff_s: float = 1.0,
         timeout_s: float = 60.0,
-        max_in_flight: int = 8,
+        max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
     ):
         self.base_url = (base_url or os.getenv(ENV_API_BASE, "")).rstrip("/")
         self.api_key = api_key if api_key is not None else os.getenv(ENV_API_KEY, "")
@@ -267,7 +312,9 @@ class HttpBackend(Backend):
         self.max_in_flight = max_in_flight
         self.padded = 0  # empty completions padded in for a provider's shortfall
         self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()  # guards _pool, _connections, padded
+        # guards _pool, _connections, padded, _not_before
+        self._pool_lock = threading.Lock()
+        self._not_before = 0.0  # time.monotonic() before which nothing is sent
         self._connections: set = set()
         self._local = threading.local()
         self.backend_id = f"http:{self.base_url}:{self.model}"
@@ -345,6 +392,25 @@ class HttpBackend(Backend):
                 if not (reused and stale):
                     raise
 
+    def _pause(self, seconds: float) -> float:
+        """Hold every thread's next request until seconds from now; returns
+        that time, which the caller's own backoff waits out."""
+        until = time.monotonic() + seconds
+        with self._pool_lock:
+            self._not_before = max(self._not_before, until)
+        return until
+
+    def _await_pause(self, own: float) -> None:
+        """Sleep until the pool's pause has passed, unless it is ``own``,
+        the pause this thread set and has already slept through."""
+        while True:
+            with self._pool_lock:
+                not_before = self._not_before
+            wait = not_before - time.monotonic()
+            if not_before == own or wait <= 0:
+                return
+            time.sleep(wait)
+
     def _post(
         self, body: dict[str, Any]
     ) -> tuple[list[str], Optional[dict[str, Any]]]:
@@ -359,6 +425,7 @@ class HttpBackend(Backend):
         last_status: Optional[int] = None
         last_error = "no attempt made"
         retry_after = 0.0
+        paused = 0.0  # the end of the last pool pause this thread set
         for attempt in range(self.max_retries + 1):
             if attempt:
                 delay = max(self.backoff_s * (2 ** (attempt - 1)), retry_after)
@@ -372,6 +439,7 @@ class HttpBackend(Backend):
                 )
                 time.sleep(delay)
             retry_after = 0.0
+            self._await_pause(paused)
             try:
                 status, resp_headers, raw = self._exchange(data, headers)
             except (OSError, http.client.HTTPException) as exc:
@@ -402,6 +470,8 @@ class HttpBackend(Backend):
                     # a quota that far off: sleeping on it would stall the run
                     last_error += f" (Retry-After {retry_after:g}s)"
                     break
+                if retry_after:
+                    paused = self._pause(retry_after)
             elif 400 <= status < 500:
                 break  # client errors won't heal on retry
         raise BackendUnavailableError(
@@ -485,12 +555,17 @@ _NORMAL_BLOCK = 32
 class SyntheticOracleBackend(Backend):
     """Noisy value oracle standing in for an LLM evaluator.
 
-    Prompts follow a tiny line protocol: ``VALUE <key>`` returns the next
-    draws of ``true_value[key] + noise_std[key] * g_j`` where g_j is the
-    j-th standard normal of the key's seeded substream; ``PROPOSE <key>``
+    Prompts follow a tiny line protocol: ``VALUE <key>`` returns draws
+    ``true_value[key] + noise_std[key] * g_j`` where g_j is the j-th
+    standard normal of the key's seeded substream; ``PROPOSE <key>``
     returns the scripted child labels for that key, one per line. Keying
     each state to its own substream makes the full sample stream
     reproducible for a fixed seed regardless of evaluation interleaving.
+    A request with an ``index`` i gets draws j = i, i+1, ..., whatever
+    was served before, so a draw that a cache answers does not shift the
+    ones after it; one without gets the draws after the furthest served.
+    The engine's value draws carry their index, and a cold run asks for
+    0..m-1 in order, as the call order would have served them.
 
     The backend id names the seed and the tree (synthetic_tree_id), so
     cache entries of one episode never answer another's draws. A caller
@@ -520,29 +595,34 @@ class SyntheticOracleBackend(Backend):
         # built, before any episode's clock starts, not on a draw
         import numpy  # noqa: F401
 
-        # key -> (its generator, normals drawn from it and not yet served)
-        self._streams: dict[str, tuple[np.random.Generator, list[float]]] = {}
+        # key -> [its generator, its normals drawn so far, the index after
+        # the furthest one served]
+        self._streams: dict[str, list] = {}
         self._lock = threading.Lock()
         # VALUE prompt -> (its key, mean, sigma), parsed on its first draw;
         # two threads that parse one prompt at once store equal entries
         self._values: dict[str, tuple[str, float, float]] = {}
 
-    def _next_draws(self, key: str, n: int) -> list[float]:
-        """The key's next n standard normals. They are drawn in blocks of at
-        least _NORMAL_BLOCK; numpy's Generator yields the same stream
-        whatever the block sizes."""
+    def _draws(self, key: str, index: Optional[int], n: int) -> list[float]:
+        """Standard normals index..index+n-1 of the key's stream, or the n
+        after the furthest served when index is None. They are drawn in
+        blocks of at least _NORMAL_BLOCK; numpy's Generator yields the same
+        stream whatever the block sizes."""
         with self._lock:
             stream = self._streams.get(key)
             if stream is None:
-                stream = self._streams[key] = (_key_seed(self.seed, key), [])
-            rng, held = stream
-            if len(held) < n:
-                held += rng.standard_normal(max(n - len(held), _NORMAL_BLOCK)).tolist()
+                stream = self._streams[key] = [_key_seed(self.seed, key), [], 0]
+            rng, drawn, served = stream
+            if index is None:
+                index = served
+            end = index + n
+            if len(drawn) < end:
+                drawn += rng.standard_normal(max(end - len(drawn), _NORMAL_BLOCK)).tolist()
+            if end > served:
+                stream[2] = end
             if n == 1:
-                return [held.pop(0)]
-            draws = held[:n]
-            del held[:n]
-        return draws
+                return [drawn[index]]
+            return drawn[index:end]
 
     def generate(self, request: BackendRequest) -> BackendResponse:
         prompt = request.prompt
@@ -556,7 +636,7 @@ class SyntheticOracleBackend(Backend):
             )
         if value is not None:
             key, mu, sigma = value
-            draws = self._next_draws(key, request.n)
+            draws = self._draws(key, request.index, request.n)
             return BackendResponse(tuple([repr(mu + sigma * g) for g in draws]))
         if prompt.startswith("PROPOSE "):
             key = prompt[len("PROPOSE ") :].strip()

@@ -326,6 +326,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
 
     values = build_search_values(args, ini)
+    backend: Optional[Backend] = None  # built here, so closed when the run ends
     if synthetic:
         benchmark = build_trap_benchmark(depth=_opt(args, ini, "depth", 3))
         task, problems, factory = synthetic_setup(benchmark, episodes or 100)
@@ -338,7 +339,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         if not problems:
             raise InvalidArgumentError("no problems selected, check --start/--episodes")
         task = make_task(task_name)
-        factory = _constant(_build_backend(backend_kind, args, ini))
+        backend = _build_backend(backend_kind, args, ini)
+        factory = _constant(backend)
     values.setdefault("T", task.max_steps)
     values["seed"] = seed
     config = dataclasses.replace(SearchConfig(), **values)
@@ -367,18 +369,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     cache = ResponseCache(cache_dir) if cache_dir else None
     run_args = (task, problems, method, factory, config)
     run_kwargs = dict(cache=cache, record_path=records, run_seed=seed, jobs=jobs)
-    if args.command == "run":
-        rows = run_benchmark(*run_args, **run_kwargs).rows()
-    elif args.command == "ablate":
-        rows = report_rows(run_ablation(*run_args, **run_kwargs))
-    else:
-        try:
-            m_values = [int(tok) for tok in args.m_values.split(",") if tok.strip()]
-        except ValueError:
-            raise InvalidArgumentError(f"bad --m-values {args.m_values!r}")
-        if not m_values:
-            raise InvalidArgumentError("--m-values is empty")
-        rows = report_rows(run_m_sweep(*run_args, m_values, **run_kwargs))
+    try:
+        if args.command == "run":
+            rows = run_benchmark(*run_args, **run_kwargs).rows()
+        elif args.command == "ablate":
+            rows = report_rows(run_ablation(*run_args, **run_kwargs))
+        else:
+            try:
+                m_values = [int(tok) for tok in args.m_values.split(",") if tok.strip()]
+            except ValueError:
+                raise InvalidArgumentError(f"bad --m-values {args.m_values!r}")
+            if not m_values:
+                raise InvalidArgumentError("--m-values is empty")
+            rows = report_rows(run_m_sweep(*run_args, m_values, **run_kwargs))
+    finally:
+        if backend is not None:
+            backend.close()  # its request pool and connections
 
     _deliver(emit_results(rows, fmt=fmt), out)
     if out_path is not None:

@@ -14,6 +14,7 @@ import math
 from typing import Iterator, Optional, Sequence
 
 from .backends import (
+    DEFAULT_MAX_TOKENS,
     Backend,
     BackendRequest,
     BackendResponse,
@@ -86,12 +87,17 @@ def value_draws(
 
     Each draw is its own request (temperatures differ across the schedule)
     and carries its index as the cache batch index, so repeated draws at
-    one temperature are still distinct requests.
+    one temperature are still distinct requests. The request carries the
+    index too, so a seeded backend serves draw i the same whether or not
+    the cache answered the draws before it.
     """
     prompt = task.value_prompt(state)
-    # positional arguments: a keyword call of a dataclass __init__ costs
+    # positional arguments: a keyword call of BackendRequest.__init__ costs
     # more, and this runs once per draw
-    return [(BackendRequest(prompt, t), i) for i, t in enumerate(_schedule(config))]
+    return [
+        (BackendRequest(prompt, t, 1, DEFAULT_MAX_TOKENS, None, i), i)
+        for i, t in enumerate(_schedule(config))
+    ]
 
 
 def sample_values(

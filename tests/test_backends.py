@@ -21,6 +21,7 @@ import socket
 import socketserver
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import tout
 from helpers import EpisodeScript, make_state
@@ -61,6 +62,7 @@ from tout.model import (
 )
 from tout.tasks import make_task
 from tout.tasks.synthetic import build_trap_benchmark
+from tout.uncertainty import value_draws
 
 
 class TestRequestEncoding:
@@ -84,6 +86,7 @@ class TestRequestEncoding:
             {"temperature": float("nan")},
             {"temperature": 0.5, "n": 0},
             {"temperature": 0.5, "max_tokens": 0},
+            {"temperature": 0.5, "index": -1},
         ],
     )
     def test_request_validation(self, kwargs):
@@ -121,6 +124,18 @@ class TestRequestEncoding:
         assert warmer == BackendRequest("p", 0.7, stop=("x",))
         with pytest.raises(InvalidArgumentError):
             dataclasses.replace(request, temperature=2.5)
+
+    def test_draw_index_is_neither_sent_nor_keyed(self):
+        plain = BackendRequest(prompt="p", temperature=0.7)
+        indexed = BackendRequest(prompt="p", temperature=0.7, index=3)
+        assert request_to_body(indexed, "m1") == request_to_body(plain, "m1")
+        for batch_index in (0, 3):
+            assert ResponseCache.cache_key("b", indexed, batch_index) == (
+                ResponseCache.cache_key("b", plain, batch_index)
+            )
+        assert ResponseCache.batch_keys("b", [(indexed, 3)]) == (
+            ResponseCache.batch_keys("b", [(plain, 3)])
+        )
 
     def test_body_shape(self):
         body = request_to_body(
@@ -225,6 +240,10 @@ def _choices(*texts):
 
 def _status(code, headers=None, body="{}"):
     return code, headers or {}, body
+
+
+def _cache_files(cache):
+    return sorted((p.name, p.read_bytes()) for p in cache.cache_dir.iterdir())
 
 
 # 200 bodies whose choices no completion can be read from
@@ -682,7 +701,132 @@ class _OracleHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _AnswerHandler(BaseHTTPRequestHandler):
+    """Answers each request with ``server.answer(body)``, a (status,
+    headers, body text) triple that the test's function may block on."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        status, headers, text = self.server.answer(body)
+        data = text.encode("utf-8")
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def answering_server(monkeypatch):
+    """Starts loopback servers that answer through a given function and
+    returns each one's base URL; all are stopped when the test ends."""
+    for name in _PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    running = []
+
+    def start(answer):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _AnswerHandler)
+        server.daemon_threads = True
+        server.answer = answer
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        running.append((server, thread))
+        return f"http://127.0.0.1:{server.server_port}"
+
+    yield start
+    for server, thread in running:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
 class TestRequestPool:
+    def test_retry_after_pauses_the_whole_pool(self, answering_server):
+        lock = threading.Condition()
+        arrivals = []  # when each request reached the server
+        limited = []  # when the 429 was answered
+        ok = _choices("ok")
+
+        def answer(body):
+            with lock:
+                arrivals.append(time.monotonic())
+                lock.notify_all()
+                first = len(arrivals) == 1
+                if first:
+                    # the pool's first four requests are all sent before it
+                    lock.wait_for(lambda: len(arrivals) >= 4, timeout=5)
+                    limited.append(time.monotonic())
+            if first:
+                return _status(429, {"Retry-After": "0.3"}, "slow down")
+            time.sleep(0.1)  # the other three come back while the pause holds
+            return ok
+
+        url = answering_server(answer)
+        # backoff_s=0.05: 0.3 s is within the retry budget, 0.05 * 2**3
+        backend = HttpBackend(base_url=url, model="m1", backoff_s=0.05, max_in_flight=4)
+        request = BackendRequest(prompt="p", temperature=0.5)
+        try:
+            responses = list(
+                cached_generate_many(None, backend, [(request, i) for i in range(8)])
+            )
+        finally:
+            backend.close()
+        assert [r.completions for r in responses] == [("ok",)] * 8
+        assert len(arrivals) == 9  # the 8 draws and the rate-limited one's retry
+        (sent_429,) = limited
+        after = [t for t in arrivals if t > sent_429]
+        assert len(after) == 5
+        # nothing was sent in the 0.3 s the 429 asked for, from any thread
+        assert min(after) - sent_429 >= 0.3
+
+    def test_default_width_sends_a_100_draw_step_32_at_a_time(
+        self, answering_server, tmp_path
+    ):
+        gate = threading.Condition()
+        seen = {"active": 0, "peak": 0}
+
+        def answer(body):
+            with gate:
+                seen["active"] += 1
+                seen["peak"] = max(seen["peak"], seen["active"])
+                gate.notify_all()
+                # requests are held until 32 have been in at once; a narrower
+                # pool never gets there, and then each goes on after a second
+                gate.wait_for(lambda: seen["peak"] >= 32, timeout=1.0)
+                seen["active"] -= 1  # before the reply: no overlap with the next
+            prompt = body["messages"][0]["content"]
+            return _choices(f"{prompt} at {body['temperature']}")
+
+        url = answering_server(answer)
+        # a step's value draws at the game24 settings: k=5 states, m=20 each
+        draws = [
+            (BackendRequest(f"state {s}", round(0.2 + 0.04 * i, 2)), i)
+            for s in range(5)
+            for i in range(20)
+        ]
+        runs = {}
+        for name, width in (("default", None), ("one", 1)):
+            widths = {} if width is None else {"max_in_flight": width}
+            backend = HttpBackend(base_url=url, model="m1", **widths)
+            cache = ResponseCache(tmp_path / name)
+            try:
+                responses = list(cached_generate_many(cache, backend, draws))
+            finally:
+                backend.close()
+            runs[name] = (responses, _cache_files(cache))
+            if width is None:
+                assert seen["peak"] == 32
+        assert runs["default"] == runs["one"]
+        assert len(runs["one"][1]) == 100
+
     def test_pool_bounds_requests_across_jobs(self, monkeypatch):
         for name in _PROXY_VARIABLES:
             monkeypatch.delenv(name, raising=False)
@@ -826,6 +970,25 @@ class TestSyntheticOracle:
             drawn["b"] += self._normals(oracle, "b", [n + 3, 1])
         for key, normals in drawn.items():
             assert normals == self._one_generator(seed, key, len(normals))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=40), st.integers(0, 2**32), st.data())
+    def test_draws_served_warm_leave_the_others_as_a_cold_run_has_them(
+        self, m, seed, data
+    ):
+        bench = build_trap_benchmark(depth=1)
+        state = make_state("trap tree", ("trap",))  # a noisy key
+        draws = value_draws(bench.task(), state, SearchConfig(m=m))
+        cold = list(cached_generate_many(None, bench.backend(seed), draws))
+        # an earlier run served these draws, in this order, into the cache
+        warm = data.draw(st.lists(st.integers(0, m - 1), unique=True), label="warm")
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = ResponseCache(tmp)
+            earlier = [draws[i] for i in warm]
+            list(cached_generate_many(cache, bench.backend(seed), earlier))
+            mixed = list(cached_generate_many(cache, bench.backend(seed), draws))
+        assert mixed == cold
+        assert len({r.completions for r in cold}) == m
 
     def test_sample_moments(self):
         """10,000 draws: mean and variance land near mu=10, sigma^2=4."""

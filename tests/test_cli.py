@@ -12,7 +12,10 @@ import configparser
 import csv
 import io
 import json
+import threading
+import time
 from dataclasses import fields, replace
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -353,6 +356,88 @@ class TestGridCommands:
         argv = ["sweep-m"] + synthetic_argv()[1:] + ["--m-values", values]
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_cached_sweep_records_what_an_uncached_sweep_records(self, tmp_path):
+        # m=5 finds draw 0 of every state in the cache the m=1 run filled:
+        # the oracle must still serve draws 1-4 as a cold run does
+        tables = {}
+        warm_flags = ["--cache-dir", str(tmp_path / "cache")]
+        for name, cache in (("cold", []), ("warm", warm_flags)):
+            records = tmp_path / f"{name}.jsonl"
+            out = tmp_path / f"{name}.csv"
+            argv = ["sweep-m", "--task", "synthetic", "--depth", "3",
+                    "--episodes", "20", "--m-values", "1,5",
+                    "--records", str(records), "--out", str(out)]
+            assert main(argv + cache) == 0
+            with out.open(newline="") as handle:
+                tables[name] = [
+                    {k: v for k, v in row.items() if k != "seconds"}
+                    for row in csv.DictReader(handle)
+                ]
+        warm = (tmp_path / "warm.jsonl").read_bytes()
+        assert warm == (tmp_path / "cold.jsonl").read_bytes()
+        assert tables["warm"] == tables["cold"]
+        for line in warm.splitlines():
+            for event in json.loads(line)["events"]:
+                if event["event"] == "evaluate":
+                    assert len(set(event["samples"])) == len(event["samples"])
+
+
+class _CountingHandler(BaseHTTPRequestHandler):
+    """Answers every request with the server's text; counts the connections
+    it accepts and those the client has closed."""
+
+    protocol_version = "HTTP/1.1"  # keep-alive
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.opened += 1
+
+    def finish(self):
+        super().finish()
+        with self.server.lock:
+            self.server.closed += 1
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        choices = [{"message": {"content": self.server.text}}]
+        data = json.dumps({"choices": choices}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestHttpRun:
+    def test_run_closes_every_connection_it_opened(self, tmp_path, monkeypatch):
+        for name in ("http_proxy", "HTTP_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _CountingHandler)
+        server.daemon_threads = True
+        server.lock, server.opened, server.closed = threading.Lock(), 0, 0
+        server.text = "4 + 9 = 13 (left: 10 13 13)"
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        dataset = write_game24_csv(tmp_path, [(1, "4 9 10 13"), (2, "1 1 4 6")])
+        argv = ["run", "--task", "game24", "--dataset", str(dataset),
+                "--backend", "http", "--api-base", f"http://127.0.0.1:{server.server_port}",
+                "--model", "m1", "--k", "2", "--m", "4", "--steps", "2",
+                "--out", str(tmp_path / "table.csv")]
+        try:
+            assert main(argv) == 0
+            deadline = time.monotonic() + 5
+            while server.closed < server.opened and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.opened > 1  # the pool's threads each had a connection
+            assert server.closed == server.opened
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
 
 
 class TestRunErrors:
