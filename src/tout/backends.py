@@ -6,9 +6,11 @@ Four interchangeable backends sit behind one ``generate`` call:
 * ScriptedBackend  -- pure table lookup; the deterministic test double.
 * SyntheticOracleBackend -- seeded noisy oracle for desk-scale experiments.
 * ResponseCache / cached_generate -- content-addressed response cache;
-  cached_generate is the one-draw case of cached_generate_many, which on a
-  backend wider than one request sends every request through the
-  backend's one pool, so that pool bounds requests across all threads.
+  cached_generate is the one-draw case of cached_generate_many, one loop
+  for every backend width: it reads, generates and puts each draw in
+  order, generating misses on the caller's thread at width 1 and through
+  the backend's one pool otherwise, so that pool bounds requests across
+  all threads.
 
 Temperature is the only model knob the engine manipulates, so backends must
 keep responses at distinct temperatures genuinely distinct (cache keys
@@ -249,12 +251,12 @@ class HttpBackend(Backend):
     including a 200 whose body is not a JSON object or whose ``choices``
     is not a list of objects with string or null ``message.content``,
     retry with exponential backoff before raising BackendUnavailableError
-    with the last HTTP status; a 429 whose Retry-After gives seconds waits
-    at least that long, unless it asks for more than
-    ``backoff_s * 2**max_retries``, which fails at once. Such a 429 pauses
-    the whole pool: no thread sends a request, first tries included, until
-    the Retry-After has passed, so the others do not spend their retries
-    on a rate limit.
+    with the last HTTP status and the number of attempts made; a 429 whose
+    Retry-After gives seconds waits at least that long, unless it asks for
+    more than ``backoff_s * 2**max_retries``, which fails at once. Such a
+    429 pauses the whole pool: no thread sends a request, first tries
+    included, until the Retry-After has passed, so the others do not spend
+    their retries on a rate limit.
 
     Requests go over the standard library's http.client: each thread keeps
     one keep-alive connection to the endpoint, opened on its first request
@@ -426,6 +428,7 @@ class HttpBackend(Backend):
         last_error = "no attempt made"
         retry_after = 0.0
         paused = 0.0  # the end of the last pool pause this thread set
+        attempts = 0  # requests sent
         for attempt in range(self.max_retries + 1):
             if attempt:
                 delay = max(self.backoff_s * (2 ** (attempt - 1)), retry_after)
@@ -440,6 +443,7 @@ class HttpBackend(Backend):
                 time.sleep(delay)
             retry_after = 0.0
             self._await_pause(paused)
+            attempts += 1
             try:
                 status, resp_headers, raw = self._exchange(data, headers)
             except (OSError, http.client.HTTPException) as exc:
@@ -474,8 +478,9 @@ class HttpBackend(Backend):
                     paused = self._pause(retry_after)
             elif 400 <= status < 500:
                 break  # client errors won't heal on retry
+        plural = "" if attempts == 1 else "s"
         raise BackendUnavailableError(
-            f"endpoint unavailable after {self.max_retries} retries: {last_error}",
+            f"endpoint unavailable after {attempts} attempt{plural}: {last_error}",
             last_status=last_status,
         )
 
@@ -680,7 +685,8 @@ class ResponseCache:
     max_tokens, stop and a sample-batch index, so repeated draws at one
     temperature stay distinct while identical requests are served from
     disk. Entries are written atomically; I/O failures degrade to uncached
-    operation and a damaged entry reads as a miss, both with a warning. An
+    operation (a directory that cannot be created disables the cache) and a
+    damaged entry reads as a miss, both with a warning. An
     entry is damaged unless it is UTF-8 JSON whose ``completions`` is a list
     of strings and whose ``usage`` is an object or null. cached_generate
     and cached_generate_many also read a hit with other than ``request.n``
@@ -692,17 +698,16 @@ class ResponseCache:
     key prefix once per batch; the keys are the same bytes.
     """
 
-    def __init__(self, cache_dir: str | Path, enabled: bool = True):
+    def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)
-        self.enabled = enabled
+        self.enabled = True
         # entry paths are joined as strings, cheaper than Path arithmetic
         self._prefix = os.path.join(os.fspath(self.cache_dir), "")
-        if enabled:
-            try:
-                self.cache_dir.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                log.warning("cache disabled, cannot create %s: %s", cache_dir, exc)
-                self.enabled = False
+        try:
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            log.warning("cache disabled, cannot create %s: %s", cache_dir, exc)
+            self.enabled = False
 
     @staticmethod
     def cache_key(
@@ -792,13 +797,11 @@ class ResponseCache:
             log.warning("damaged cache entry %s treated as a miss: %s", key, exc)
             return None
 
-    def put(self, key: str, response: BackendResponse) -> bool:
-        """Write an entry through a temporary file, so readers never see half.
-
-        Returns whether the entry was written.
-        """
+    def put(self, key: str, response: BackendResponse) -> None:
+        """Write an entry through a temporary file, so readers never see half;
+        a failed write is logged and leaves the old entry, if any, as it was."""
         if not self.enabled:
-            return False
+            return
         data = {"completions": list(response.completions), "usage": response.usage}
         tmp: Optional[str] = None
         try:
@@ -806,7 +809,6 @@ class ResponseCache:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(json.dumps(data))
             os.replace(tmp, self._path(key))
-            return True
         except OSError as exc:
             log.warning("cache write failed for %s: %s", key, exc)
             if tmp is not None:
@@ -814,7 +816,6 @@ class ResponseCache:
                     os.unlink(tmp)
                 except OSError:
                     pass
-            return False
 
 
 def _lookup(
@@ -838,13 +839,23 @@ def cached_generate(
     cache: Optional[ResponseCache],
     backend: Backend,
     request: BackendRequest,
-    batch_index: int = 0,
     transcript: Optional[Transcript] = None,
 ) -> BackendResponse:
     """generate() behind a cache: cached_generate_many() of the one draw
-    (request, batch_index); a missing or disabled cache passes through."""
-    draws = [(request, batch_index)]
-    return next(cached_generate_many(cache, backend, draws, transcript))
+    (request, 0); a missing or disabled cache passes through."""
+    return next(cached_generate_many(cache, backend, [(request, 0)], transcript))
+
+
+def _generate_buffered(
+    backend: Backend, request: BackendRequest
+) -> tuple[BackendResponse, list[dict[str, Any]]]:
+    """generate() on a pool thread: the response and the events it emitted,
+    for the consumer to replay in the draw's turn."""
+    buffer = Transcript()
+    return generate(backend, request, buffer), buffer.events
+
+
+_TWIN = object()  # a draw whose cache key an earlier miss of its batch carries
 
 
 def cached_generate_many(
@@ -856,78 +867,63 @@ def cached_generate_many(
     """Responses to independent (request, batch index) draws, in order:
     each is read from the cache or generated, and a generated one is put.
 
-    On a backend of ``max_in_flight`` 1, each draw in turn is looked up,
-    generated on a miss and put: the reference order of scripted and
-    synthetic runs. On a wider backend every request goes through
-    ``backend.executor()``, the pool that bounds its requests in flight:
-    the first ``next()`` makes one ``ResponseCache.get`` per draw, in
-    order, and submits the misses all at once; hits are served inline. A
-    miss whose cache key an earlier miss of the batch already carries is
-    not issued with them: once the earlier response is put, it is served
-    that response, as the sequential loop would have read it from the
-    cache (no ``generate`` event, no ``put``); if that put failed, it goes
-    through cached_generate in its turn, as in the sequential loop.
-    Without an enabled cache every miss is issued. Response i is yielded
-    as soon as it is done, after it is cached and its buffered transcript
-    events are replayed, so the transcript, the cache and the backend
-    calls end as the sequential loop leaves them while later draws are
-    still in flight. A failed draw raises its error in its turn, after
-    every draw before it has been yielded. When a draw fails or the
+    The first ``next()`` makes one ``ResponseCache.get`` per draw, in order,
+    except for a twin, a draw whose cache key an earlier miss of the batch
+    carries: a twin is looked up in its turn, after that miss was put, so
+    it is the hit it would be in a one-at-a-time loop, or, if the put was
+    not written, a miss generated and put in its turn. On a backend of
+    ``max_in_flight`` 1 each miss is generated in its turn on the caller's
+    thread, so a stream that fails or is closed makes no further call. On a
+    wider backend the first ``next()`` submits every other miss at once to
+    ``backend.executor()``, the pool that bounds its requests in flight,
+    and a twin that must be generated goes through it too. Response i is
+    yielded after it is put and its transcript events are replayed, so the
+    transcript, the cache and the backend calls end as at width 1, whatever
+    the width, while later draws are still in flight. Without an enabled
+    cache every draw is a miss. A failed draw raises its error in its turn,
+    after every draw before it has been yielded; when a draw fails or the
     consumer closes the stream, the draws that have not started are
     cancelled.
     """
     keys: list[str] = []
     if cache is not None and cache.enabled:
         keys = ResponseCache.batch_keys(backend.backend_id, draws)
-    if backend.max_in_flight <= 1:
+    # per draw: a hit, _TWIN, a Future of a pooled miss, or None for a
+    # miss generated in its turn
+    ahead: list[Any] = [None] * len(draws)
+    missed: set[str] = set()
+    for i, key in enumerate(keys):
+        if key in missed:
+            ahead[i] = _TWIN
+            continue
+        ahead[i] = _lookup(cache, key, draws[i][0])
+        if ahead[i] is None:
+            missed.add(key)
+    pool = None
+    if backend.max_in_flight > 1 and (missed or not keys) and draws:  # any miss
+        pool = backend.executor()
+        for i, found in enumerate(ahead):
+            if found is None:
+                ahead[i] = pool.submit(_generate_buffered, backend, draws[i][0])
+    try:
         for i, (request, _) in enumerate(draws):
-            response = _lookup(cache, keys[i], request) if keys else None
-            if response is None:
-                response = generate(backend, request, transcript)
+            response = ahead[i]
+            if response is _TWIN:
+                response = _lookup(cache, keys[i], request)
+                if response is None and pool is not None:
+                    response = pool.submit(_generate_buffered, backend, request)
+            if response is None or isinstance(response, Future):
+                if response is None:
+                    response = generate(backend, request, transcript)
+                else:
+                    response, events = response.result()
+                    if transcript is not None:
+                        transcript.events.extend(events)
                 if keys:
                     cache.put(keys[i], response)
             yield response
-        return
-    responses: list[Optional[BackendResponse]] = [None] * len(draws)
-    if keys:
-        responses = [
-            _lookup(cache, key, request) for key, (request, _) in zip(keys, draws)
-        ]
-    issued: dict[str, int] = {}  # cache key -> the miss that issues it
-    twins: dict[int, int] = {}  # later miss -> earlier miss with its key
-    misses: list[int] = []
-    for i, hit in enumerate(responses):
-        if hit is not None:
-            continue
-        first = issued.setdefault(keys[i], i) if keys else i
-        if first == i:
-            misses.append(i)
-        else:
-            twins[i] = first
-    buffers = {i: Transcript() for i in misses}
-    futures: dict[int, Future] = {}
-    if misses:
-        pool = backend.executor()
-        futures = {
-            i: pool.submit(generate, backend, draws[i][0], buffers[i]) for i in misses
-        }
-    stored: set[str] = set()  # keys whose put in this batch was written
-    try:
-        for i in range(len(draws)):
-            if i in twins and keys[i] in stored:
-                responses[i] = responses[twins[i]]
-            elif i in twins:
-                request, batch_index = draws[i]
-                responses[i] = cached_generate(
-                    cache, backend, request, batch_index, transcript
-                )
-            elif i in futures:
-                responses[i] = futures[i].result()
-                if keys and cache.put(keys[i], responses[i]):
-                    stored.add(keys[i])
-                if transcript is not None:
-                    transcript.events.extend(buffers[i].events)
-            yield responses[i]
     finally:
-        for future in futures.values():
-            future.cancel()
+        if pool is not None:
+            for found in ahead:
+                if isinstance(found, Future):
+                    found.cancel()

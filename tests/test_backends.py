@@ -28,6 +28,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -460,6 +461,20 @@ class TestHttpBackend:
         assert err.value.last_status == 429
         assert "Retry-After 3600s" in str(err.value)
         assert len(endpoint.calls) == 1 and delays == []
+
+    @pytest.mark.parametrize("replies, attempts", [
+        ([_status(400, body='{"error": "bad request"}')], "1 attempt:"),
+        ([_status(429, {"Retry-After": "3600"})], "1 attempt:"),
+        ([_status(503)] * 3, "3 attempts:"),  # max_retries=2: every attempt
+    ], ids=["client-error", "retry-after-over-budget", "server-errors"])
+    def test_error_names_the_attempts_made(self, endpoint, replies, attempts):
+        endpoint.reply(*replies)
+        with pytest.raises(BackendUnavailableError) as err:
+            endpoint.client(max_retries=2).generate(
+                BackendRequest(prompt="p", temperature=0.5)
+            )
+        assert len(endpoint.calls) == len(replies)
+        assert f"endpoint unavailable after {attempts}" in str(err.value)
 
     def test_shortfall_topped_up_one_at_a_time(self, endpoint):
         endpoint.reply(
@@ -1269,8 +1284,7 @@ class TestResponseCache:
         cache = ResponseCache(tmp_path)
         backend = _CountingBackend()
         request = BackendRequest(prompt="p", temperature=0.5)
-        cached_generate(cache, backend, request, batch_index=0)
-        cached_generate(cache, backend, request, batch_index=1)
+        list(cached_generate_many(cache, backend, [(request, 0), (request, 1)]))
         assert backend.calls == 2
 
     def test_missing_cache_passes_through(self):
@@ -1478,11 +1492,115 @@ class TestResponseCache:
         assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
 
     def test_disabled_cache_never_touches_disk(self, tmp_path):
-        cache = ResponseCache(tmp_path, enabled=False)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        cache = ResponseCache(blocker / "sub")  # disabled: it cannot be made
         key = ResponseCache.cache_key("b1", BackendRequest(prompt="p", temperature=0.5))
         cache.put(key, BackendResponse(completions=("a",)))
         assert cache.get(key) is None
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "a file, not a directory"
+
+
+class _KeyedBackend(Backend):
+    """Answers each request from its prompt, temperature and index alone, at
+    any width, and logs every call with the thread that made it."""
+
+    backend_id = "keyed"
+
+    def __init__(self, width):
+        self.max_in_flight = width
+        self.calls = []
+        self._lock = threading.Lock()
+        self._pool = ThreadPoolExecutor(max_workers=width) if width > 1 else None
+
+    def executor(self):
+        return self._pool
+
+    def close(self):
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+
+    def generate(self, request):
+        call = (request.prompt, request.temperature, request.index)
+        with self._lock:
+            self.calls.append((call, threading.current_thread()))
+        return BackendResponse((f"{call}",))
+
+
+def _one_batch(draws, width, warm, writable):
+    """Run one cached_generate_many batch at ``width`` over a fresh cache
+    holding the entries of the ``warm`` draws: its responses, events without
+    latency, backend calls, cache reads in order, cache files, and the
+    threads that made the calls."""
+    backend = _KeyedBackend(width)
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = ResponseCache(tmp)
+        for request, index in warm:
+            key = ResponseCache.cache_key(backend.backend_id, request, index)
+            cache.put(key, BackendResponse(completions=("warm",)))
+        seen = []
+        inner = cache.get
+        cache.get = lambda key: seen.append(key) or inner(key)  # as the bench wraps it
+
+        def unwritable(src, dst):
+            raise OSError("read-only cache")
+
+        transcript = Transcript()
+        replace = os.replace if writable else unwritable
+        try:
+            with mock.patch("tout.backends.os.replace", replace):
+                served = list(cached_generate_many(cache, backend, draws, transcript))
+        finally:
+            backend.close()
+        files = sorted((p.name, p.read_bytes()) for p in Path(tmp).iterdir())
+    outcome = (
+        served,
+        [{k: v for k, v in e.items() if k != "latency_ms"} for e in transcript.events],
+        Counter(call for call, _ in backend.calls),
+        seen,
+        files,
+    )
+    return outcome, [thread for _, thread in backend.calls]
+
+
+_BATCH_DRAWS = st.lists(
+    st.tuples(st.sampled_from(["p0", "p1", "p2"]), st.sampled_from([0.2, 0.5]),
+              st.integers(min_value=0, max_value=2)),
+    max_size=10,
+)
+
+
+class TestOneDrawLoop:
+    """cached_generate_many leaves the same responses, events, backend calls,
+    cache reads and cache files at width 1 and at width 4."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_BATCH_DRAWS, st.data(), st.booleans())
+    def test_widths_agree(self, specs, data, writable):
+        draws = [(BackendRequest(prompt=p, temperature=t, index=i), i)
+                 for p, t, i in specs]
+        warm = data.draw(st.lists(st.sampled_from(draws), unique=True)
+                         if draws else st.just([]), label="warm")
+        narrow, _ = _one_batch(draws, 1, warm, writable)
+        wide, _ = _one_batch(draws, 4, warm, writable)
+        assert wide == narrow
+        _, events, calls, seen, _ = narrow
+        assert len(seen) == len(draws)  # one read per draw
+        assert sum(calls.values()) == len(events)
+
+    def test_unwritable_twins_are_read_once_and_sent_through_the_pool(self):
+        # draws 3-5 share the keys of misses 0-2, whose puts all fail
+        draws = [(BackendRequest(prompt=f"p{i % 3}", temperature=0.5), 0)
+                 for i in range(6)]
+        narrow, _ = _one_batch(draws, 1, [], writable=False)
+        wide, threads = _one_batch(draws, 4, [], writable=False)
+        assert wide == narrow
+        served, events, calls, seen, files = wide
+        assert len(seen) == 6 and sum(calls.values()) == 6
+        assert [event["event"] for event in events] == ["generate"] * 6
+        assert files == []
+        assert threading.main_thread() not in threads  # the pool bounds twins too
 
 
 # Entries a sane writer never produces; each must read as a logged miss.
