@@ -5,12 +5,13 @@ Four interchangeable backends sit behind one ``generate`` call:
 * HttpBackend      -- OpenAI-compatible chat-completions endpoint over HTTP.
 * ScriptedBackend  -- pure table lookup; the deterministic test double.
 * SyntheticOracleBackend -- seeded noisy oracle for desk-scale experiments.
-* ResponseCache / cached_generate -- content-addressed response cache;
-  cached_generate is the one-draw case of cached_generate_many, one loop
-  for every backend width: it reads, generates and puts each draw in
-  order, generating misses on the caller's thread at width 1 and through
-  the backend's one pool otherwise, so that pool bounds requests across
-  all threads.
+* ResponseCache / cached_generate -- content-addressed response cache,
+  one append-only log per directory with one line per entry, indexed by
+  offset in memory; cached_generate is the one-draw case of
+  cached_generate_many, one loop for every backend width: it reads,
+  generates and puts each draw in order, generating misses on the
+  caller's thread at width 1 and through the backend's one pool
+  otherwise, so that pool bounds requests across all threads.
 
 Temperature is the only model knob the engine manipulates, so backends must
 keep responses at distinct temperatures genuinely distinct (cache keys
@@ -25,9 +26,9 @@ import json
 import logging
 import math
 import os
-import tempfile
 import threading
 import time
+import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -298,6 +299,12 @@ class HttpBackend(Backend):
             raise InvalidArgumentError(f"no model name: pass model or set {ENV_MODEL}")
         if max_in_flight < 1:
             raise InvalidArgumentError("max_in_flight must be >= 1")
+        if not isinstance(max_retries, int) or max_retries < 0:
+            raise InvalidArgumentError("max_retries must be an int >= 0")
+        if not isinstance(backoff_s, (int, float)) or not 0 <= backoff_s < math.inf:
+            raise InvalidArgumentError("backoff_s must be finite and >= 0")
+        if not isinstance(timeout_s, (int, float)) or not 0 < timeout_s < math.inf:
+            raise InvalidArgumentError("timeout_s must be finite and > 0")
         self._url = urlsplit(self.base_url)
         try:
             self._url.port  # raises unless absent or a number in range
@@ -654,9 +661,20 @@ class SyntheticOracleBackend(Backend):
 # given any option. Same defaults as json.dumps, so keys keep their bytes.
 _KEY_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
-# Cache entries are read in chunks of this size; most fit in one. A larger
-# buffer costs more to allocate than the read it serves.
-_READ_CHUNK = 64 * 1024
+# ResponseCache's log, in its directory: one line per entry, "<key> <JSON>\n"
+LOG_NAME = "responses.log"
+_KEY_LEN = 64  # hex digits of a sha256 digest
+# The log is scanned in reads of at most this size.
+_SCAN_CHUNK = 1 << 20
+
+
+def _is_old_entry(name: str) -> bool:
+    """Whether a file name is an entry of the one-file-per-key layout."""
+    stem, _, ext = name.partition(".")
+    return ext == "json" and len(stem) == _KEY_LEN and all(
+        c in "0123456789abcdef" for c in stem
+    )
+
 
 # ResponseCache.get's decoder, built once: json.loads re-checks its argument's
 # type and encoding on every call before it reaches the same decoder.
@@ -679,19 +697,33 @@ def _decode_entry(text: str) -> Any:
 
 
 class ResponseCache:
-    """Content-addressed response cache: one JSON file per key digest.
+    """Content-addressed response cache: one append-only log per directory.
 
     Keys include the backend id, prompt digest, quantized temperature, n,
     max_tokens, stop and a sample-batch index, so repeated draws at one
     temperature stay distinct while identical requests are served from
-    disk. Entries are written atomically; I/O failures degrade to uncached
-    operation (a directory that cannot be created disables the cache) and a
-    damaged entry reads as a miss, both with a warning. An
-    entry is damaged unless it is UTF-8 JSON whose ``completions`` is a list
-    of strings and whose ``usage`` is an object or null. cached_generate
-    and cached_generate_many also read a hit with other than ``request.n``
+    disk. Each entry is one line of the directory's ``responses.log``: the
+    64-hex key, a space, the entry's JSON and a newline. A put appends its
+    line in one write; the last line for a key wins, so overwriting an
+    entry appends a new one. An index in memory maps each key to its
+    line's offset and length (about 200 bytes per entry); no response is
+    held, so each get reads its line from the file. The index is built on
+    first use by scanning whole lines, extended by each put and, on a
+    miss, by scanning what was appended since, so entries another process
+    or instance appends are seen. A line without its newline (a torn
+    write) is never indexed, and the next put starts on a new line.
+
+    I/O failures degrade to uncached operation (a directory that cannot be
+    created disables the cache), and a damaged entry reads as a miss, both
+    with a warning. An entry is damaged unless its line starts with its
+    key and holds UTF-8 JSON whose ``completions`` is a list of strings and
+    whose ``usage`` is an object or null. cached_generate and
+    cached_generate_many also read a hit with other than ``request.n``
     completions as a logged miss, reissue the request and overwrite the
-    entry.
+    entry. The log is created by the first put; entries in the old
+    one-file-per-key layout (``<key>.json``) are not read, with one
+    warning. ``close()`` releases the log's descriptor, as does collecting
+    the cache; a closed cache reopens the log when used again.
 
     cache_key is the key of one draw. cached_generate_many builds a batch's
     keys with batch_keys, which computes each distinct prompt's digest and
@@ -701,13 +733,40 @@ class ResponseCache:
     def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)
         self.enabled = True
-        # entry paths are joined as strings, cheaper than Path arithmetic
-        self._prefix = os.path.join(os.fspath(self.cache_dir), "")
+        self._log = os.path.join(os.fspath(self.cache_dir), LOG_NAME)
+        self._fd: Optional[int] = None  # the log, read and appended
+        self._release: Optional[weakref.finalize] = None  # closes _fd
+        self._index: dict[str, tuple[int, int]] = {}  # key -> (offset, length)
+        self._scanned = 0  # the end of the last complete line indexed
+        self._torn = False  # the log ends in a line without its newline
+        self._lock = threading.Lock()  # guards all but the reads of a hit
         try:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             log.warning("cache disabled, cannot create %s: %s", cache_dir, exc)
             self.enabled = False
+            return
+        try:
+            with os.scandir(self.cache_dir) as entries:
+                old = any(_is_old_entry(entry.name) for entry in entries)
+        except OSError:
+            old = False
+        if old:
+            log.warning(
+                "%s holds cache entries in the old one-file-per-key layout; "
+                "they are not read",
+                cache_dir,
+            )
+
+    def close(self) -> None:
+        """Close the log; the cache reopens and rescans it if used again."""
+        with self._lock:
+            if self._release is not None:
+                self._release()
+            self._fd = self._release = None
+            self._index = {}
+            self._scanned = 0
+            self._torn = False
 
     @staticmethod
     def cache_key(
@@ -759,32 +818,74 @@ class ResponseCache:
             keys.append(digest.hexdigest())
         return keys
 
-    def _path(self, key: str) -> str:
-        return f"{self._prefix}{key}.json"
+    def _open(self, create: bool) -> Optional[int]:
+        """The log's descriptor, opened and indexed on first use; None when
+        there is no log yet and ``create`` is false. Call under _lock."""
+        if self._fd is None:
+            flags = os.O_RDWR | os.O_APPEND | os.O_CLOEXEC
+            try:
+                fd = os.open(self._log, flags | (os.O_CREAT if create else 0), 0o666)
+            except FileNotFoundError:
+                if create:
+                    raise
+                return None
+            except PermissionError:
+                if create:
+                    raise
+                # a log this process may not write is still read; puts to
+                # it fail in os.write, logged
+                fd = os.open(self._log, os.O_RDONLY | os.O_CLOEXEC)
+            self._fd = fd
+            self._release = weakref.finalize(self, os.close, fd)
+        self._scan()
+        return self._fd
+
+    def _scan(self) -> None:
+        """Index the complete lines appended since the last scan, without
+        decoding them: the last line for a key wins."""
+        end = os.fstat(self._fd).st_size
+        if end < self._scanned:  # the log was cut short in place: index it anew
+            self._index, self._scanned = {}, 0
+        pos = read = self._scanned  # the first line not indexed; bytes read
+        rest = b""  # the part of that line read so far
+        while read < end:
+            chunk = os.pread(self._fd, min(_SCAN_CHUNK, end - read), read)
+            if not chunk:
+                break  # truncated since the fstat
+            read += len(chunk)
+            buf = rest + chunk
+            start = 0
+            while (stop := buf.find(b"\n", start)) >= 0:
+                if stop - start > _KEY_LEN and buf[start + _KEY_LEN] == 0x20:
+                    key = buf[start : start + _KEY_LEN].decode("latin-1")
+                    self._index[key] = (pos + start, stop - start)
+                start = stop + 1
+            pos += start
+            rest = buf[start:]
+        self._scanned = pos
+        self._torn = bool(rest)
 
     def get(self, key: str) -> Optional[BackendResponse]:
         if not self.enabled:
             return None
+        where = self._index.get(key)
         try:
-            fd = os.open(self._path(key), os.O_RDONLY)
-            try:
-                # a short read of a regular file is its end, so an entry that
-                # fits one chunk takes one read; only a full chunk reads on
-                blob = os.read(fd, _READ_CHUNK)
-                if len(blob) == _READ_CHUNK:
-                    chunks = [blob]
-                    while chunk := os.read(fd, _READ_CHUNK):
-                        chunks.append(chunk)
-                    blob = b"".join(chunks)
-            finally:
-                os.close(fd)
-        except FileNotFoundError:
-            return None
-        except OSError as exc:  # a directory at the path fails in os.read
+            if where is None:
+                with self._lock:
+                    if self._open(create=False) is None:
+                        return None
+                    where = self._index.get(key)
+                if where is None:
+                    return None
+            offset, length = where
+            line = os.pread(self._fd, length, offset)
+        except OSError as exc:  # a directory at the log's path fails to open
             log.warning("cache read failed for %s: %s", key, exc)
             return None
         try:
-            data = _decode_entry(blob.decode("utf-8"))
+            if not line.startswith(f"{key} ".encode()):
+                raise ValueError("the line does not start with its key")
+            data = _decode_entry(line[_KEY_LEN + 1 :].decode("utf-8"))
             completions, usage = data["completions"], data.get("usage")
             if not isinstance(completions, list) or not all(
                 isinstance(text, str) for text in completions
@@ -798,24 +899,28 @@ class ResponseCache:
             return None
 
     def put(self, key: str, response: BackendResponse) -> None:
-        """Write an entry through a temporary file, so readers never see half;
-        a failed write is logged and leaves the old entry, if any, as it was."""
+        """Append an entry in one write; a write that fails or comes back
+        short is logged and leaves the old entry, if any, as it was."""
         if not self.enabled:
             return
-        data = {"completions": list(response.completions), "usage": response.usage}
-        tmp: Optional[str] = None
-        try:
-            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, prefix=key, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(data))
-            os.replace(tmp, self._path(key))
-        except OSError as exc:
-            log.warning("cache write failed for %s: %s", key, exc)
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+        entry = {"completions": list(response.completions), "usage": response.usage}
+        line = f"{key} {json.dumps(entry)}\n".encode()
+        with self._lock:
+            try:
+                fd = self._open(create=True)
+                # end a torn line first, so that it costs only its own entry
+                data = b"\n" + line if self._torn else line
+                written = os.write(fd, data)
+                if written != len(data):
+                    raise OSError(f"short write, {written} of {len(data)} bytes")
+                end = os.lseek(fd, 0, os.SEEK_CUR)  # where the append ended
+                if end - len(data) == self._scanned:  # nothing else was appended
+                    self._index[key] = (end - len(line), len(line) - 1)
+                    self._scanned = end
+                else:  # index the lines before this one first, in order
+                    self._scan()
+            except OSError as exc:
+                log.warning("cache write failed for %s: %s", key, exc)
 
 
 def _lookup(

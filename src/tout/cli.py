@@ -385,6 +385,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     finally:
         if backend is not None:
             backend.close()  # its request pool and connections
+        if cache is not None:
+            cache.close()  # the log's descriptor
 
     _deliver(emit_results(rows, fmt=fmt), out)
     if out_path is not None:

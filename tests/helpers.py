@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
-from tout.backends import ScriptedBackend
+from tout.backends import LOG_NAME, ScriptedBackend
 from tout.model import SearchConfig, State, TaskSpec
 from tout.uncertainty import temperature_schedule
 
@@ -104,3 +105,31 @@ def cyclic_garbage(fn: Callable[[], object]) -> int:
     finally:
         if was_enabled:
             gc.enable()
+
+
+class CacheLog:
+    """A ResponseCache directory's log, read and written from outside the
+    cache: one line per entry, the key, a space, the entry text and a
+    newline."""
+
+    def __init__(self, cache_dir: str | Path):
+        self.path = Path(cache_dir) / LOG_NAME
+
+    def raw(self) -> bytes:
+        """The log's bytes; empty when there is no log."""
+        return self.path.read_bytes() if self.path.exists() else b""
+
+    def entries(self) -> dict[str, bytes]:
+        """Each key's last complete line, without its newline."""
+        lines = self.raw().split(b"\n")[:-1]  # the last is torn or empty
+        return {
+            line[:64].decode("latin-1"): line for line in lines if line[64:65] == b" "
+        }
+
+    def write(self, key: str, text: str | bytes) -> None:
+        """Append a line holding ``text`` as the entry of ``key``: it is the
+        entry a fresh cache, or one that misses on the key, reads."""
+        if isinstance(text, str):
+            text = text.encode("utf-8")
+        with open(self.path, "ab") as log:
+            log.write(key.encode() + b" " + text + b"\n")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import gc
 import hashlib
 import http.client
 import json
@@ -35,16 +36,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tout
-from helpers import EpisodeScript, make_state
+from helpers import CacheLog, EpisodeScript, make_state
 from tout.backends import (
     Backend,
     BackendRequest,
     BackendResponse,
+    LOG_NAME,
     HttpBackend,
     ResponseCache,
     ScriptedBackend,
     SyntheticOracleBackend,
-    _READ_CHUNK,
     _decode_entry,
     body_to_request,
     cached_generate,
@@ -241,10 +242,6 @@ def _choices(*texts):
 
 def _status(code, headers=None, body="{}"):
     return code, headers or {}, body
-
-
-def _cache_files(cache):
-    return sorted((p.name, p.read_bytes()) for p in cache.cache_dir.iterdir())
 
 
 # 200 bodies whose choices no completion can be read from
@@ -577,6 +574,19 @@ class TestHttpBackend:
             with pytest.raises(InvalidArgumentError):
                 HttpBackend(base_url=bad, model="m1")
 
+    @pytest.mark.parametrize("setting, value", [
+        ("max_retries", -1), ("max_retries", 1.0), ("max_retries", None),
+        ("backoff_s", -0.5), ("backoff_s", float("nan")), ("backoff_s", float("inf")),
+        ("timeout_s", 0), ("timeout_s", -1.0), ("timeout_s", float("nan")),
+        ("timeout_s", float("inf")), ("timeout_s", "60"),
+    ])
+    def test_rejects_retry_settings_it_cannot_use(self, setting, value):
+        # max_retries=-1 once failed every request at once, sending none
+        with pytest.raises(InvalidArgumentError, match=setting):
+            HttpBackend(base_url="http://fake.test", model="m1", **{setting: value})
+        HttpBackend(base_url="http://fake.test", model="m1",
+                    max_retries=0, backoff_s=0, timeout_s=0.5)
+
 
 class TestHttpTransport:
     def test_calls_on_one_thread_share_a_connection(self, endpoint):
@@ -836,11 +846,12 @@ class TestRequestPool:
                 responses = list(cached_generate_many(cache, backend, draws))
             finally:
                 backend.close()
-            runs[name] = (responses, _cache_files(cache))
+            # puts are made in draw order at every width
+            runs[name] = (responses, CacheLog(cache.cache_dir).raw())
             if width is None:
                 assert seen["peak"] == 32
         assert runs["default"] == runs["one"]
-        assert len(runs["one"][1]) == 100
+        assert len(CacheLog(tmp_path / "one").entries()) == 100
 
     def test_pool_bounds_requests_across_jobs(self, monkeypatch):
         for name in _PROXY_VARIABLES:
@@ -1178,24 +1189,36 @@ class TestResponseCache:
         assert cache.get(key) == response
 
     def test_large_entry_round_trips(self, tmp_path):
-        # larger than one read chunk, with multi-byte characters across chunks
+        # larger than one read of the log's scan, with multi-byte characters
+        # across reads: read by the cache that wrote it and by a fresh one,
+        # which finds it by scanning
         cache = ResponseCache(tmp_path)
         text = "é24" * 70_000  # about 210 KB of UTF-8
         response = BackendResponse(completions=(text, "short"))
         key = ResponseCache.cache_key("b1", BackendRequest(prompt="p", temperature=0.5))
         cache.put(key, response)
         assert cache.get(key) == response
+        assert ResponseCache(tmp_path).get(key) == response
 
-    @pytest.mark.parametrize("size", [_READ_CHUNK - 1, _READ_CHUNK, _READ_CHUNK + 1])
-    def test_entry_at_the_read_chunk_size_round_trips(self, tmp_path, size):
-        # one read serves an entry shorter than a chunk; a full one reads on
+    @pytest.mark.parametrize("size", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1])
+    def test_entry_at_the_read_chunk_size_round_trips(self, tmp_path, monkeypatch, size):
+        # a log line one byte shorter than, as long as, and one byte longer
+        # than one read of the scan, with another entry after it; the scan's
+        # read size is made small so the lines stay small
+        monkeypatch.setattr("tout.backends._SCAN_CHUNK", 1 << 16)
         cache = ResponseCache(tmp_path)
         key = ResponseCache.cache_key("b1", BackendRequest(prompt="p", temperature=0.5))
-        overhead = len(json.dumps({"completions": [""], "usage": None}))
+        # the line around a completion: key, space, JSON, newline
+        overhead = 64 + 1 + len(json.dumps({"completions": [""], "usage": None})) + 1
         response = BackendResponse(completions=("a" * (size - overhead),))
+        after = BackendResponse(completions=("after",))
         cache.put(key, response)
-        assert (tmp_path / f"{key}.json").stat().st_size == size
+        assert (tmp_path / LOG_NAME).stat().st_size == size
+        cache.put("0" * 64, after)
         assert cache.get(key) == response
+        fresh = ResponseCache(tmp_path)
+        assert fresh.get(key) == response
+        assert fresh.get("0" * 64) == after
 
     def test_key_bytes_are_pinned(self):
         # cache entries written by earlier versions must keep hitting
@@ -1310,16 +1333,16 @@ class TestResponseCache:
         assert cache.get(key) is None
 
     def test_damaged_entry_is_a_logged_miss(self, tmp_path, caplog):
-        cache = ResponseCache(tmp_path)
         backend = _CountingBackend()
         request = BackendRequest(prompt="p", temperature=0.5)
-        cached_generate(cache, backend, request)
-        (entry,) = tmp_path.iterdir()
-        torn = entry.read_bytes()[:7]  # an interrupted write
-        not_utf8 = b'{"completions": ["\xff\xfe"]}'
+        cached_generate(ResponseCache(tmp_path), backend, request)
         key = ResponseCache.cache_key(backend.backend_id, request)
+        log = CacheLog(tmp_path)
+        torn = log.entries()[key][65:72]  # an interrupted write
+        not_utf8 = b'{"completions": ["\xff\xfe"]}'
         for calls, damaged in enumerate((torn, not_utf8), start=2):
-            entry.write_bytes(damaged)
+            log.write(key, damaged)
+            cache = ResponseCache(tmp_path)  # a fresh cache reads the last line
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="tout.backends"):
                 response = cached_generate(cache, backend, request)
@@ -1331,10 +1354,13 @@ class TestResponseCache:
     def test_directory_at_an_entry_path_is_a_logged_miss(self, tmp_path, caplog):
         cache = ResponseCache(tmp_path)
         key = ResponseCache.cache_key("b1", BackendRequest(prompt="p", temperature=0.5))
-        (tmp_path / f"{key}.json").mkdir()
+        (tmp_path / LOG_NAME).mkdir()  # at the log's path
         with caplog.at_level(logging.WARNING, logger="tout.backends"):
             assert cache.get(key) is None
-        assert "cache read failed" in caplog.text
+            assert "cache read failed" in caplog.text
+            cache.put(key, BackendResponse(completions=("a",)))
+            assert "cache write failed" in caplog.text
+            assert cache.get(key) is None
 
     def test_missing_entry_is_a_silent_miss(self, tmp_path, caplog):
         cache = ResponseCache(tmp_path)
@@ -1362,10 +1388,11 @@ class TestResponseCache:
         else:
             assert _decode_entry(text) == expected
 
+    # a newline ends an entry's line, so padded and indented text is a miss
     @pytest.mark.parametrize("text, hit", [
         ('{"completions": ["a"]}', True),
-        (' \n{"completions": ["a"]}\n', True),
-        ('{\n  "completions": [\n    "a"\n  ]\n}', True),
+        (' \n{"completions": ["a"]}\n', False),
+        ('{\n  "completions": [\n    "a"\n  ]\n}', False),
         ('{"completions": ["a"]} x', False),
         ('{"completions": ["a"]}{"completions": ["b"]}', False),
         ("", False),
@@ -1373,7 +1400,7 @@ class TestResponseCache:
     def test_entry_reads_as_json_loads_reads_it(self, tmp_path, caplog, text, hit):
         cache = ResponseCache(tmp_path)
         key = "0" * 64
-        (tmp_path / f"{key}.json").write_text(text, encoding="utf-8")
+        CacheLog(tmp_path).write(key, text)
         with caplog.at_level(logging.WARNING, logger="tout.backends"):
             got = cache.get(key)
         assert got == (BackendResponse(completions=("a",)) if hit else None)
@@ -1477,19 +1504,33 @@ class TestResponseCache:
         assert len(seen) == 22
         assert getattr(backend, "pool_taken", 0) == pool_taken
 
-    def test_failed_put_leaves_the_old_entry_whole(self, tmp_path, monkeypatch):
+    def test_failed_put_leaves_the_old_entry_whole(self, tmp_path, caplog):
         cache = ResponseCache(tmp_path)
         key = ResponseCache.cache_key("b1", BackendRequest(prompt="p", temperature=0.5))
         old = BackendResponse(completions=("old",))
         cache.put(key, old)
+        write = os.write
 
-        def failing_replace(src, dst):
+        def failing(fd, data):
             raise OSError("disk full")
 
-        monkeypatch.setattr("tout.backends.os.replace", failing_replace)
-        cache.put(key, BackendResponse(completions=("new",)))
-        assert cache.get(key) == old
-        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
+        def short(fd, data):  # the disk filled up mid-line
+            return write(fd, data[:-5])
+
+        for broken in (failing, short):
+            caplog.clear()
+            with mock.patch("tout.backends.os.write", broken), caplog.at_level(
+                logging.WARNING, logger="tout.backends"
+            ):
+                cache.put(key, BackendResponse(completions=("new",)))
+            assert "cache write failed" in caplog.text
+            assert cache.get(key) == old
+            assert ResponseCache(tmp_path).get(key) == old
+        assert [p.name for p in tmp_path.iterdir()] == [LOG_NAME]
+        # the torn line the short write left costs no later entry
+        newer = BackendResponse(completions=("newer",))
+        cache.put(key, newer)
+        assert cache.get(key) == ResponseCache(tmp_path).get(key) == newer
 
     def test_disabled_cache_never_touches_disk(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -1500,6 +1541,222 @@ class TestResponseCache:
         assert cache.get(key) is None
         assert list(tmp_path.iterdir()) == [blocker]
         assert blocker.read_text() == "a file, not a directory"
+
+
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+_LOG_KEYS = [f"{i:x}" * 64 for i in range(4)]
+
+
+def _log_line(key, text):
+    """The bytes a put of one completion appends, newline included."""
+    entry = json.dumps({"completions": [text], "usage": None})
+    return f"{key} {entry}\n".encode()
+
+
+def _torn_entry(key, text, cut):
+    """What the line of a put cut short by ``cut`` bytes reads as once a
+    later put ends it: the entry when only its newline was lost, a damaged
+    entry (None) when its key survived, and nothing otherwise."""
+    kept = len(_log_line(key, text)) - cut
+    if cut == 1:
+        return key, text
+    return (key, None) if kept >= 65 else (None, None)
+
+
+# one step of a cache's life: a put or a get on cache 0 or 1, closing and
+# reopening one, replacing one by a new cache on the directory, a writer
+# that died mid-line, or a put whose write comes back short
+_LOG_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.integers(0, 1), st.sampled_from(_LOG_KEYS),
+                  st.text(alphabet='ab"\\é\n', max_size=4)),
+        st.tuples(st.just("get"), st.integers(0, 1), st.sampled_from(_LOG_KEYS)),
+        st.tuples(st.just("reopen"), st.integers(0, 1)),
+        st.tuples(st.just("new"), st.integers(0, 1)),
+        st.tuples(st.just("torn"), st.sampled_from(_LOG_KEYS), st.text(max_size=3),
+                  st.integers(1, 200)),
+        st.tuples(st.just("short"), st.integers(0, 1), st.sampled_from(_LOG_KEYS),
+                  st.text(max_size=3), st.integers(1, 200)),
+    ),
+    max_size=30,
+)
+
+
+class TestResponseLog:
+    """The cache's one log per directory: appended by puts, indexed by
+    offset, read from disk by every get."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_LOG_STEPS)
+    def test_matches_a_dict_of_last_complete_puts(self, steps):
+        # The model: the log's complete lines, in order, as (key, text) with
+        # text None for a damaged line, and the line a writer left torn. A
+        # cache has indexed the first ``seen`` lines: a put indexes every
+        # line, and a get misses onto a scan unless its key was seen.
+        lines, torn = [], None
+        seen = [0, 0]
+        write = os.write
+
+        def end_torn():
+            nonlocal torn
+            if torn is not None:
+                lines.append(_torn_entry(*torn))
+                torn = None
+
+        def expected(i, key):
+            found = [text for k, text in lines[: seen[i]] if k == key]
+            if not found:
+                seen[i] = len(lines)
+                found = [text for k, text in lines if k == key]
+            return found[-1] if found else None
+
+        with tempfile.TemporaryDirectory() as tmp:
+            caches = [ResponseCache(tmp), ResponseCache(tmp)]
+            try:
+                for step in steps:
+                    kind, rest = step[0], step[1:]
+                    if kind == "put":
+                        i, key, text = rest
+                        caches[i].put(key, BackendResponse(completions=(text,)))
+                        end_torn()
+                        lines.append((key, text))
+                        seen[i] = len(lines)
+                    elif kind == "get":
+                        i, key = rest
+                        text = expected(i, key)
+                        want = None if text is None else BackendResponse((text,))
+                        assert caches[i].get(key) == want
+                    elif kind in ("reopen", "new"):
+                        (i,) = rest
+                        caches[i].close()
+                        if kind == "new":
+                            caches[i] = ResponseCache(tmp)
+                        seen[i] = 0
+                    elif kind == "torn" and torn is None:
+                        key, text, cut = rest
+                        cut = min(cut, len(_log_line(key, text)) - 1)
+                        with open(os.path.join(tmp, LOG_NAME), "ab") as log:
+                            log.write(_log_line(key, text)[:-cut])
+                        torn = (key, text, cut)
+                    elif kind == "short":
+                        i, key, text, cut = rest
+                        line = _log_line(key, text)
+                        cut = min(cut, len(line))
+                        with mock.patch("tout.backends.os.write",
+                                        lambda fd, data: write(fd, data[:-cut])):
+                            caches[i].put(key, BackendResponse(completions=(text,)))
+                        seen[i] = len(lines)  # scanned before the write
+                        end_torn()
+                        if cut < len(line):
+                            torn = (key, text, cut)
+            finally:
+                for cache in caches:
+                    cache.close()
+
+    def test_second_cache_sees_the_first_ones_entries_after_a_miss(self, tmp_path):
+        first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)
+        a, b = BackendResponse(completions=("a",)), BackendResponse(completions=("b",))
+        assert second.get(_LOG_KEYS[0]) is None  # there is no log yet
+        first.put(_LOG_KEYS[0], a)
+        assert second.get(_LOG_KEYS[0]) == a
+        first.put(_LOG_KEYS[1], b)
+        assert second.get(_LOG_KEYS[1]) == b
+        second.put(_LOG_KEYS[2], a)
+        assert first.get(_LOG_KEYS[2]) == a
+
+    def test_torn_tail_costs_only_its_own_entry(self, tmp_path, caplog):
+        cache = ResponseCache(tmp_path)
+        a, b = BackendResponse(completions=("a",)), BackendResponse(completions=("b",))
+        cache.put(_LOG_KEYS[0], a)
+        cache.put(_LOG_KEYS[1], a)
+        # a writer died mid-line: the line for key 1 lost its end
+        with open(tmp_path / LOG_NAME, "ab") as log:
+            log.write(_log_line(_LOG_KEYS[1], "b")[:-4])
+        assert ResponseCache(tmp_path).get(_LOG_KEYS[1]) == a  # never indexed
+        cache.put(_LOG_KEYS[2], b)
+        fresh = ResponseCache(tmp_path)
+        assert fresh.get(_LOG_KEYS[0]) == a
+        assert fresh.get(_LOG_KEYS[2]) == cache.get(_LOG_KEYS[2]) == b
+        with caplog.at_level(logging.WARNING, logger="tout.backends"):
+            assert fresh.get(_LOG_KEYS[1]) is None  # its last line is the torn one
+            assert cache.get(_LOG_KEYS[1]) is None  # the put that ended it agrees
+        assert caplog.text.count("damaged cache entry") == 2
+
+    def test_log_rewritten_in_place_is_never_misread(self, tmp_path, caplog):
+        cache = ResponseCache(tmp_path)
+        cache.put(_LOG_KEYS[0], BackendResponse(completions=("a",)))
+        cache.put(_LOG_KEYS[1], BackendResponse(completions=("b",)))
+        # the log is rewritten in place: key 2's line where key 1's was
+        (tmp_path / LOG_NAME).write_bytes(
+            _log_line(_LOG_KEYS[0], "a") + _log_line(_LOG_KEYS[2], "b")
+        )
+        with caplog.at_level(logging.WARNING, logger="tout.backends"):
+            assert cache.get(_LOG_KEYS[1]) is None
+        assert "does not start with its key" in caplog.text
+        # cut shorter than what was indexed, the log is indexed anew on a miss
+        (tmp_path / LOG_NAME).write_bytes(_log_line(_LOG_KEYS[3], "c"))
+        assert cache.get(_LOG_KEYS[3]) == BackendResponse(completions=("c",))
+        assert cache.get(_LOG_KEYS[0]) is None
+
+    def test_entry_appended_during_a_put_is_seen(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        cache.put(_LOG_KEYS[0], BackendResponse(completions=("a",)))
+        write = os.write
+
+        def after_another_writer(fd, data):
+            # another process appends between the cache's scan and its write
+            with open(tmp_path / LOG_NAME, "ab") as log:
+                log.write(_log_line(_LOG_KEYS[1], "theirs"))
+            return write(fd, data)
+
+        with mock.patch("tout.backends.os.write", after_another_writer):
+            cache.put(_LOG_KEYS[2], BackendResponse(completions=("b",)))
+        assert cache.get(_LOG_KEYS[1]) == BackendResponse(completions=("theirs",))
+        assert cache.get(_LOG_KEYS[2]) == BackendResponse(completions=("b",))
+
+    def test_dropped_or_closed_cache_leaves_no_descriptor_open(self, tmp_path):
+        gc.collect()
+        before = _open_descriptors()
+        cache = ResponseCache(tmp_path)
+        assert cache.get(_LOG_KEYS[0]) is None  # no log: nothing is opened
+        assert _open_descriptors() == before
+        cache.put(_LOG_KEYS[0], BackendResponse(completions=("a",)))
+        assert _open_descriptors() == before + 1
+        cache.close()
+        assert _open_descriptors() == before
+        assert cache.get(_LOG_KEYS[0]) == BackendResponse(completions=("a",))
+        assert _open_descriptors() == before + 1  # reopened on use
+        del cache
+        assert _open_descriptors() == before
+
+    def test_old_layout_is_named_once_and_not_read(self, tmp_path, caplog):
+        (tmp_path / f"{_LOG_KEYS[0]}.json").write_text('{"completions": ["a"]}')
+        with caplog.at_level(logging.WARNING, logger="tout.backends"):
+            cache = ResponseCache(tmp_path)
+            assert cache.get(_LOG_KEYS[0]) is None
+        assert caplog.text.count("old one-file-per-key layout") == 1
+
+    def test_log_it_may_not_write_is_still_read(self, tmp_path, caplog):
+        ResponseCache(tmp_path).put(_LOG_KEYS[0], BackendResponse(completions=("a",)))
+        real_open = os.open
+
+        def read_only(path, flags, *mode):
+            if flags & (os.O_RDWR | os.O_WRONLY):
+                raise PermissionError(13, "Permission denied", path)
+            return real_open(path, flags, *mode)
+
+        with mock.patch("tout.backends.os.open", read_only), caplog.at_level(
+            logging.WARNING, logger="tout.backends"
+        ):
+            cache = ResponseCache(tmp_path)
+            assert cache.get(_LOG_KEYS[0]) == BackendResponse(completions=("a",))
+            cache.put(_LOG_KEYS[1], BackendResponse(completions=("b",)))
+            assert "cache write failed" in caplog.text
+            assert cache.get(_LOG_KEYS[1]) is None
+        cache.close()
 
 
 class _KeyedBackend(Backend):
@@ -1531,7 +1788,7 @@ class _KeyedBackend(Backend):
 def _one_batch(draws, width, warm, writable):
     """Run one cached_generate_many batch at ``width`` over a fresh cache
     holding the entries of the ``warm`` draws: its responses, events without
-    latency, backend calls, cache reads in order, cache files, and the
+    latency, backend calls, cache reads in order, the cache's log, and the
     threads that made the calls."""
     backend = _KeyedBackend(width)
     with tempfile.TemporaryDirectory() as tmp:
@@ -1543,23 +1800,24 @@ def _one_batch(draws, width, warm, writable):
         inner = cache.get
         cache.get = lambda key: seen.append(key) or inner(key)  # as the bench wraps it
 
-        def unwritable(src, dst):
+        def unwritable(fd, data):
             raise OSError("read-only cache")
 
         transcript = Transcript()
-        replace = os.replace if writable else unwritable
+        write = os.write if writable else unwritable
         try:
-            with mock.patch("tout.backends.os.replace", replace):
+            with mock.patch("tout.backends.os.write", write):
                 served = list(cached_generate_many(cache, backend, draws, transcript))
         finally:
             backend.close()
-        files = sorted((p.name, p.read_bytes()) for p in Path(tmp).iterdir())
+            cache.close()
+        log = CacheLog(tmp).raw()  # puts are made in draw order at every width
     outcome = (
         served,
         [{k: v for k, v in e.items() if k != "latency_ms"} for e in transcript.events],
         Counter(call for call, _ in backend.calls),
         seen,
-        files,
+        log,
     )
     return outcome, [thread for _, thread in backend.calls]
 
@@ -1573,7 +1831,7 @@ _BATCH_DRAWS = st.lists(
 
 class TestOneDrawLoop:
     """cached_generate_many leaves the same responses, events, backend calls,
-    cache reads and cache files at width 1 and at width 4."""
+    cache reads and cache log at width 1 and at width 4."""
 
     @settings(max_examples=60, deadline=None)
     @given(_BATCH_DRAWS, st.data(), st.booleans())
@@ -1596,10 +1854,10 @@ class TestOneDrawLoop:
         narrow, _ = _one_batch(draws, 1, [], writable=False)
         wide, threads = _one_batch(draws, 4, [], writable=False)
         assert wide == narrow
-        served, events, calls, seen, files = wide
+        served, events, calls, seen, log = wide
         assert len(seen) == 6 and sum(calls.values()) == 6
         assert [event["event"] for event in events] == ["generate"] * 6
-        assert files == []
+        assert log == b""
         assert threading.main_thread() not in threads  # the pool bounds twins too
 
 
@@ -1630,7 +1888,7 @@ class TestWrongShapeEntries:
         backend = _CountingBackend()
         request = BackendRequest(prompt="p", temperature=0.5)
         key = ResponseCache.cache_key(backend.backend_id, request)
-        (tmp_path / f"{key}.json").write_text(json.dumps(entry), encoding="utf-8")
+        CacheLog(tmp_path).write(key, json.dumps(entry))
         with caplog.at_level(logging.WARNING, logger="tout.backends"):
             response = cached_generate(cache, backend, request)
         assert response.completions == ("x",)
@@ -1645,7 +1903,7 @@ class TestWrongShapeEntries:
         draws = [(BackendRequest(prompt="p", temperature=0.5), i) for i in range(3)]
         keys = [ResponseCache.cache_key(backend.backend_id, request, index)
                 for request, index in draws]
-        (tmp_path / f"{keys[1]}.json").write_text(json.dumps(entry), encoding="utf-8")
+        CacheLog(tmp_path).write(keys[1], json.dumps(entry))
         try:
             with caplog.at_level(logging.WARNING, logger="tout.backends"):
                 responses = list(cached_generate_many(cache, backend, draws))
@@ -1667,11 +1925,12 @@ class TestWrongShapeEntries:
             return [r.record.to_json() for r in report.results]
 
         cold = records(ResponseCache(tmp_path / "cold"))
-        poisoned = ResponseCache(tmp_path / "poisoned")
-        records(poisoned)
-        entries = sorted(poisoned.cache_dir.iterdir())
-        assert entries
-        for i, entry in enumerate(entries):
+        records(ResponseCache(tmp_path / "poisoned"))
+        log = CacheLog(tmp_path / "poisoned")
+        keys = sorted(log.entries())
+        assert keys
+        for i, key in enumerate(keys):
             shape = WRONG_SHAPES[i % len(WRONG_SHAPES)].values[0]
-            entry.write_text(json.dumps(shape), encoding="utf-8")
-        assert records(poisoned) == cold
+            log.write(key, json.dumps(shape))
+        # a fresh cache reads the poisoned lines, the last for each key
+        assert records(ResponseCache(tmp_path / "poisoned")) == cold

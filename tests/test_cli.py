@@ -12,6 +12,7 @@ import configparser
 import csv
 import io
 import json
+import os
 import threading
 import time
 from dataclasses import fields, replace
@@ -20,7 +21,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from helpers import EpisodeScript
-from tout.backends import Backend
+from tout.backends import LOG_NAME, Backend, ResponseCache
 from tout.cli import build_parser, build_search_values, load_ini, load_script, main
 from tout.harness import default_run_id
 from tout.model import BackendUnavailableError, InvalidArgumentError, SearchConfig
@@ -426,9 +427,25 @@ class TestHttpRun:
         argv = ["run", "--task", "game24", "--dataset", str(dataset),
                 "--backend", "http", "--api-base", f"http://127.0.0.1:{server.server_port}",
                 "--model", "m1", "--k", "2", "--m", "4", "--steps", "2",
-                "--out", str(tmp_path / "table.csv")]
+                "--out", str(tmp_path / "table.csv"),
+                "--cache-dir", str(tmp_path / "cache")]
+        kept = []  # held here, so only a close() releases their descriptors
+
+        class KeptCache(ResponseCache):
+            def __init__(self, cache_dir):
+                super().__init__(cache_dir)
+                kept.append(self)
+
+        monkeypatch.setattr("tout.cli.ResponseCache", KeptCache)
         try:
             assert main(argv) == 0
+            assert len(kept) == 1
+            assert (tmp_path / "cache" / LOG_NAME).stat().st_size > 0
+            # no descriptor is left open on the cache's log
+            held = [os.readlink(f"/proc/self/fd/{fd}")
+                    for fd in os.listdir("/proc/self/fd")
+                    if os.path.exists(f"/proc/self/fd/{fd}")]
+            assert [p for p in held if p.startswith(str(tmp_path / "cache"))] == []
             deadline = time.monotonic() + 5
             while server.closed < server.opened and time.monotonic() < deadline:
                 time.sleep(0.01)

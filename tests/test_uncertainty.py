@@ -39,7 +39,7 @@ from tout.tasks import Problem, make_task
 from tout.tasks.synthetic import GOOD, TRAP, SyntheticTreeTask, build_trap_benchmark
 from tout.uncertainty import value_draws
 
-from helpers import EpisodeScript, make_state, population_variance
+from helpers import CacheLog, EpisodeScript, make_state, population_variance
 
 EXACT = 1e-12
 
@@ -287,17 +287,14 @@ class _KeyedSlowBackend(Backend):
                 self._in_flight -= 1
 
 
-def _cache_contents(cache):
-    return sorted((p.name, p.read_bytes()) for p in cache.cache_dir.iterdir())
-
-
 def _without_latency(events):
     return [{k: v for k, v in e.items() if k != "latency_ms"} for e in events]
 
 
 class TestConcurrentDraws:
     """A backend wider than one request gets a state's cache misses at once;
-    records, cache contents and call counts match the sequential run."""
+    records, the cache's log and call counts match the sequential run (puts
+    are made in draw order at every width)."""
 
     def test_records_cache_and_calls_match_sequential(self, tmp_path):
         bench = build_trap_benchmark(depth=2)
@@ -323,7 +320,7 @@ class TestConcurrentDraws:
             outcomes.append((
                 [r.record.to_json() for r in report.results],
                 backend.calls,
-                _cache_contents(cache),
+                CacheLog(cache.cache_dir).raw(),
             ))
             assert backend.peak <= width
             if width > 1:
@@ -348,11 +345,11 @@ class TestConcurrentDraws:
             finally:
                 backend.close()
             outcomes.append((_without_latency(transcript.events),
-                             _cache_contents(cache)))
+                             CacheLog(cache.cache_dir).raw()))
         assert outcomes[0] == outcomes[1]
-        events, entries = outcomes[0]
+        events, log = outcomes[0]
         assert [e["index"] for e in events if e["event"] == "sample"] == [0, 1, 2, 3, 4]
-        assert len(entries) == 5
+        assert log.count(b"\n") == 5  # one line per entry
 
     @pytest.mark.parametrize("method, options", [
         ("tout_bfs", {}),
@@ -383,7 +380,7 @@ class TestConcurrentDraws:
             outcomes.append((
                 [r.record.to_json() for r in report.results],
                 backend.calls,
-                _cache_contents(cache),
+                CacheLog(cache.cache_dir).raw(),
             ))
             assert backend.peak <= width
             if gather:
@@ -392,11 +389,11 @@ class TestConcurrentDraws:
 
     @pytest.mark.parametrize("cache_kind", ["writable", "unwritable", None])
     def test_siblings_sharing_a_value_prompt(self, tmp_path, monkeypatch, cache_kind):
-        def unwritable(src, dst):
+        def unwritable(fd, data):
             raise OSError("read-only cache")
 
         if cache_kind == "unwritable":
-            monkeypatch.setattr("tout.backends.os.replace", unwritable)
+            monkeypatch.setattr("tout.backends.os.write", unwritable)
         cached = cache_kind is not None
         bench = build_trap_benchmark(depth=1)
         task = _SharedValuePromptTask(max_steps=1)
@@ -416,7 +413,7 @@ class TestConcurrentDraws:
             outcomes.append((
                 result.record.to_json(),
                 backend.calls,
-                _cache_contents(cache) if cached else None,
+                CacheLog(cache.cache_dir).raw() if cached else None,
             ))
         # one propose call, then m draws per value prompt the cache cannot answer
         assert outcomes[0][1] == 1 + (1 if cache_kind == "writable" else 2) * config.m
@@ -448,7 +445,7 @@ class TestConcurrentDraws:
                 backend.close()
             assert raised.traceback
             outcomes.append((_without_latency(transcript.events),
-                             _cache_contents(cache)))
+                             CacheLog(cache.cache_dir).raw()))
             # the first draw of the first state fails; the step has 3 * m draws
             assert backend.calls < 1 + config.m
         assert outcomes[0] == outcomes[1]
