@@ -50,9 +50,18 @@ log = logging.getLogger(__name__)
 DEFAULT_MAX_TOKENS = 512
 
 # HttpBackend's pool width. A search step sends k*m value draws at once (100
-# at the game24 settings, k=5, m=20): 32 sends them in 4 round trips; 64
-# made game24 episodes no faster on a loopback stub and cost more memory.
-DEFAULT_MAX_IN_FLIGHT = 32
+# at the game24 settings, k=5, m=20): 128, the next power of two, sends them
+# in one round trip, where 32 took 4 (README, "Backends").
+DEFAULT_MAX_IN_FLIGHT = 128
+
+# The status line and headers of a response must fit in this many bytes.
+_MAX_HEAD = 64 * 1024
+# Each connection's receive buffer starts at this size and grows, up to
+# _MAX_HEAD, only to hold a longer head; a body is copied out as it arrives.
+# A loopback game24 reply is under 0.5 KiB; at 128 connections, each KiB
+# here is ~0.13 MB of peak memory (README, "Backends").
+_RECV_SIZE = 2 * 1024
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
 
 ENV_API_BASE = "TOUT_API_BASE"
 ENV_API_KEY = "TOUT_API_KEY"
@@ -160,10 +169,11 @@ class Backend:
     Backends wider than 1 also provide ``executor()``, a pool of that width
     through which the engine sends every request it makes to them, from
     every thread; a backend of width 1 is called on the caller's thread.
-    HttpBackend is DEFAULT_MAX_IN_FLIGHT (32) wide, so a search step's
-    k*m value draws go out in a few round trips; the in-process backends
-    are 1 wide. A request's ``index`` is its draw's cache batch index, for
-    a backend whose answers depend on it rather than on call order.
+    HttpBackend is DEFAULT_MAX_IN_FLIGHT (128) wide, so a search step's
+    k*m value draws (100 at the game24 settings) go out in one round trip;
+    the in-process backends are 1 wide. A request's ``index`` is its draw's
+    cache batch index, for a backend whose answers depend on it rather than
+    on call order.
     """
 
     backend_id: str = "backend"
@@ -243,6 +253,189 @@ def _completions_of(payload: dict[str, Any]) -> Optional[list[str]]:
     return completions
 
 
+class HttpProtocolError(OSError):
+    """A response that is not well-formed HTTP/1.1, or that was cut short;
+    HttpBackend retries it as it retries a transport error."""
+
+
+class _Connection:
+    """One keep-alive HTTP/1.1 connection and its receive buffer.
+
+    ``sock`` is None until HttpBackend opens it for a first request, and
+    again after ``close()``. Received bytes not yet parsed are
+    ``buf[start:end]``; ``received`` tells whether any byte of the current
+    response has arrived.
+    """
+
+    __slots__ = ("sock", "buf", "start", "end", "received")
+
+    def __init__(self):
+        self.sock: Any = None
+        self.buf = bytearray(_RECV_SIZE)
+        self.start = self.end = 0
+        self.received = False
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None
+        self.start = self.end = 0
+
+    def _fill(self) -> int:
+        """Receive more bytes after those buffered; 0 at end of stream."""
+        buf = self.buf
+        if self.start == self.end:
+            self.start = self.end = 0
+        elif self.end == len(buf):
+            if self.start:  # move the unparsed bytes to the front
+                size = self.end - self.start
+                buf[:size] = buf[self.start : self.end]
+                self.start, self.end = 0, size
+            else:  # a head longer than the buffer; callers stop at _MAX_HEAD
+                buf *= 2
+        received = self.sock.recv_into(memoryview(buf)[self.end :])
+        if received:
+            self.end += received
+            self.received = True
+        return received
+
+    def _cut_short(self, what: str) -> HttpProtocolError:
+        if not self.received:
+            return HttpProtocolError("connection closed before a response")
+        return HttpProtocolError(f"connection closed in the {what}")
+
+    def _take(self, n: int, body: bytearray) -> None:
+        """Move the next n bytes of the stream to body."""
+        while True:
+            take = min(n, self.end - self.start)
+            body += self.buf[self.start : self.start + take]
+            self.start += take
+            n -= take
+            if not n:
+                return
+            if not self._fill():
+                raise self._cut_short("body")
+
+    def _line(self) -> bytes:
+        """The next line of the stream, without its line ending."""
+        while True:
+            stop = self.buf.find(b"\n", self.start, self.end)
+            if stop >= 0:
+                line = bytes(self.buf[self.start : stop]).rstrip(b"\r")
+                self.start = stop + 1
+                return line
+            if self.end - self.start >= _MAX_HEAD:
+                raise HttpProtocolError("line longer than 64 KiB")
+            if not self._fill():
+                raise self._cut_short("chunked body")
+
+    def head(self) -> tuple[str, int, dict[str, str]]:
+        """The next response head: its version, status and headers, keyed
+        by lowercase name (a repeated header's values joined by ", ")."""
+        buf = self.buf
+        while True:
+            stop = buf.find(b"\r\n\r\n", self.start, self.end)
+            newline = "\r\n"
+            # a server may end its lines with LF alone
+            bare = buf.find(b"\n\n", self.start, self.end if stop < 0 else stop)
+            if bare >= 0:
+                stop, newline = bare, "\n"
+            if stop >= 0:
+                break
+            if self.end - self.start >= _MAX_HEAD:
+                raise HttpProtocolError("response head longer than 64 KiB")
+            if not self._fill():
+                raise self._cut_short("head")
+        if stop - self.start > _MAX_HEAD:
+            raise HttpProtocolError("response head longer than 64 KiB")
+        lines = buf[self.start : stop].decode("latin-1").split(newline)
+        self.start = stop + 2 * len(newline)
+        version, _, rest = lines[0].partition(" ")
+        code = rest[:3]
+        if not (
+            version.startswith("HTTP/1.")
+            and code.isascii()
+            and code.isdigit()
+            and rest[3:4] in ("", " ")
+        ):
+            raise HttpProtocolError(f"malformed status line {lines[0][:80]!r}")
+        headers: dict[str, str] = {}
+        for line in lines[1:]:
+            name, colon, value = line.partition(":")
+            if not colon:
+                raise HttpProtocolError(f"malformed header line {line[:80]!r}")
+            name, value = name.strip().lower(), value.strip()
+            headers[name] = f"{headers[name]}, {value}" if name in headers else value
+        return version, int(code), headers
+
+    def response(self) -> tuple[int, dict[str, str], bytearray, bool]:
+        """Read one response to a POST (RFC 9112 section 6.3): its status,
+        headers, body, and whether the connection may carry another."""
+        status = 100
+        while 100 <= status < 200:  # interim responses carry no body
+            version, status, headers = self.head()
+        tokens = {t.strip().lower() for t in headers.get("connection", "").split(",")}
+        keep = "close" not in tokens and (
+            version != "HTTP/1.0" or "keep-alive" in tokens
+        )
+        body = bytearray()
+        if status in (204, 304):
+            pass
+        elif "transfer-encoding" in headers:
+            if headers["transfer-encoding"].rsplit(",", 1)[-1].strip().lower() == "chunked":
+                self._chunked(body)
+            else:
+                keep = self._until_close(body)
+        elif "content-length" in headers:
+            lengths = {v.strip() for v in headers["content-length"].split(",")}
+            length = lengths.pop() if len(lengths) == 1 else ",".join(lengths)
+            if not (length.isascii() and length.isdigit()):
+                raise HttpProtocolError(f"bad Content-Length {length!r}")
+            self._take(int(length), body)
+        else:
+            keep = self._until_close(body)
+        if self.start != self.end:  # bytes past the response: do not reuse
+            keep = False
+        return status, headers, body, keep
+
+    def _chunked(self, body: bytearray) -> None:
+        while True:
+            size = self._line().split(b";", 1)[0].strip()
+            if not size or size.translate(None, _HEX_DIGITS):
+                raise HttpProtocolError(f"bad chunk size {size[:80]!r}")
+            if not int(size, 16):
+                break
+            self._take(int(size, 16), body)
+            if self._line():
+                raise HttpProtocolError("chunk data longer than its size")
+        while self._line():  # trailer fields, ignored
+            pass
+
+    def _until_close(self, body: bytearray) -> bool:
+        """Read a body that ends when the server closes; returns False, as
+        the connection cannot be reused."""
+        while True:
+            body += self.buf[self.start : self.end]
+            self.start = self.end
+            if not self._fill():
+                return False
+
+
+def _proxy_for(url) -> Optional[str]:
+    """The proxy the environment names for the URL's scheme and host, if any.
+
+    urllib.request, which imports http.client, is loaded only when some
+    ``*_proxy`` variable is set."""
+    if not any(name.lower().endswith("_proxy") for name in os.environ):
+        return None
+    import urllib.request
+
+    proxy = urllib.request.getproxies().get(url.scheme)
+    if not proxy or urllib.request.proxy_bypass(url.hostname):
+        return None
+    return proxy
+
+
 class HttpBackend(Backend):
     """Client for any OpenAI-compatible /v1/chat/completions endpoint.
 
@@ -259,21 +452,28 @@ class HttpBackend(Backend):
     included, until the Retry-After has passed, so the others do not spend
     their retries on a rate limit.
 
-    Requests go over the standard library's http.client: each thread keeps
-    one keep-alive connection to the endpoint, opened on its first request
-    (HTTPS for an ``https`` base URL). A connection that fails is closed and
-    dropped; a kept-alive one that the server closed while idle is reopened
-    once at once, without a retry or a backoff. When the environment names a
-    proxy for the base URL's scheme and the host is not bypassed
-    (``no_proxy``), the connection is a CONNECT tunnel through that proxy.
+    Requests are plain HTTP/1.1 over a socket: each thread keeps one
+    keep-alive connection to the endpoint, opened on its first request
+    (TLS-wrapped for an ``https`` base URL). The request head is built once;
+    a request adds its Content-Length and goes out in one send. A response
+    is read into the connection's own buffer and framed by RFC 9112: a
+    chunked body, else its Content-Length, else until the server closes.
+    A malformed or truncated response is an HttpProtocolError, retried as
+    a transport error is. A connection that fails, is close-delimited or
+    is marked ``Connection: close`` (or is an HTTP/1.0 reply without
+    keep-alive) is closed and dropped; a kept-alive one that the server
+    closed while idle is reopened once at once, without a retry or a
+    backoff. When the environment names a proxy for the base URL's scheme
+    and the host is not bypassed (``no_proxy``), the connection is a
+    CONNECT tunnel through that proxy.
 
     ``executor()`` is a pool of width ``max_in_flight``, shared by every
     caller. The engine sends every request it makes through it (see
     cached_generate_many), so the pool alone bounds the requests on the
     wire, across all ``--jobs`` threads; a direct ``generate()`` call
     outside the pool is not bounded. The default width,
-    DEFAULT_MAX_IN_FLIGHT = 32, sends a 100-draw search step in 4 round
-    trips rather than 13 at 8 (README, "Backends"). Threads start only as
+    DEFAULT_MAX_IN_FLIGHT = 128, sends a 100-draw search step in one round
+    trip rather than 4 at 32 (README, "Backends"). Threads start only as
     requests arrive. ``close()`` shuts the pool down and closes
     every connection, and the backend reopens what it needs if used again.
     """
@@ -297,8 +497,12 @@ class HttpBackend(Backend):
             )
         if not self.model:
             raise InvalidArgumentError(f"no model name: pass model or set {ENV_MODEL}")
-        if max_in_flight < 1:
-            raise InvalidArgumentError("max_in_flight must be >= 1")
+        if (
+            isinstance(max_in_flight, bool)
+            or not isinstance(max_in_flight, int)
+            or max_in_flight < 1
+        ):
+            raise InvalidArgumentError("max_in_flight must be an int >= 1")
         if not isinstance(max_retries, int) or max_retries < 0:
             raise InvalidArgumentError("max_retries must be an int >= 0")
         if not isinstance(backoff_s, (int, float)) or not 0 <= backoff_s < math.inf:
@@ -314,14 +518,44 @@ class HttpBackend(Backend):
             raise InvalidArgumentError(
                 f"API base URL must be http:// or https:// with a host: {self.base_url}"
             )
-        self._path = self._url.path + "/v1/chat/completions"
+        path = self._url.path + "/v1/chat/completions"
+        if not all("!" <= c <= "~" for c in path):
+            raise InvalidArgumentError(
+                f"API base URL path must be printable ASCII: {self.base_url}"
+            )
+        if not self.api_key.isprintable():
+            raise InvalidArgumentError("API key must be printable text")
+        host = self._url.hostname
+        port = self._url.port
+        try:
+            if not host.isascii():
+                host = host.encode("idna").decode("ascii")
+            key = self.api_key.encode("latin-1")
+        except UnicodeError as exc:
+            raise InvalidArgumentError(f"API base URL or key: {exc}") from None
+        if ":" in host:  # an IPv6 address
+            host = f"[{host}]"
+        # the CONNECT target names the port always, the Host header when given
+        self._target = f"{host}:{port or (443 if self._url.scheme == 'https' else 80)}"
+        head = [
+            f"POST {path} HTTP/1.1".encode("ascii"),
+            f"Host: {host if port is None else f'{host}:{port}'}".encode("ascii"),
+            b"Content-Type: application/json",
+            # http.client sent this implicitly; without it a server may gzip
+            b"Accept-Encoding: identity",
+        ]
+        if key:
+            head.append(b"Authorization: Bearer " + key)
+        head.append(b"Content-Length: ")
+        self._head = b"\r\n".join(head)  # each request adds its length and body
+        self._tls: Any = None  # the https context, made on first use
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         self.timeout_s = timeout_s
         self.max_in_flight = max_in_flight
         self.padded = 0  # empty completions padded in for a provider's shortfall
         self._pool: Optional[ThreadPoolExecutor] = None
-        # guards _pool, _connections, padded, _not_before
+        # guards _pool, _connections, _tls, padded, _not_before
         self._pool_lock = threading.Lock()
         self._not_before = 0.0  # time.monotonic() before which nothing is sent
         self._connections: set = set()
@@ -347,59 +581,90 @@ class HttpBackend(Backend):
         for conn in connections:
             conn.close()
 
-    def _new_connection(self):
-        """A connection to the endpoint, or a tunnel through the proxy the
-        environment names for it; no socket is opened until the first request."""
-        import base64
-        import http.client
-        import urllib.request
-
-        url = self._url
-        kind = (
-            http.client.HTTPSConnection
-            if url.scheme == "https"
-            else http.client.HTTPConnection
-        )
-        proxy = urllib.request.getproxies().get(url.scheme)
-        if not proxy or urllib.request.proxy_bypass(url.hostname):
-            return kind(url.hostname, url.port, timeout=self.timeout_s)
-        via = urlsplit(proxy if "://" in proxy else "http://" + proxy)
-        conn = kind(via.hostname, via.port or 80, timeout=self.timeout_s)
-        headers = {}
-        if via.username:
-            credentials = f"{unquote(via.username)}:{unquote(via.password or '')}"
-            token = base64.b64encode(credentials.encode("utf-8")).decode("ascii")
-            headers["Proxy-Authorization"] = f"Basic {token}"
-        conn.set_tunnel(url.hostname, url.port, headers=headers)
-        return conn
-
-    def _connection(self):
-        """This thread's connection, made anew after a failure or close()."""
+    def _connection(self) -> _Connection:
+        """This thread's connection, made anew after a failure or close();
+        its socket is opened by the first request."""
         conn = getattr(self._local, "conn", None)
         with self._pool_lock:
             if conn not in self._connections:
-                conn = self._local.conn = self._new_connection()
+                conn = self._local.conn = _Connection()
                 self._connections.add(conn)
         return conn
 
-    def _exchange(self, data: bytes, headers: dict[str, str]):
+    def _drop(self, conn: _Connection) -> None:
+        conn.close()
+        with self._pool_lock:
+            self._connections.discard(conn)
+
+    def _open(self, conn: _Connection) -> None:
+        """Connect to the endpoint, or tunnel to it through the proxy the
+        environment names for it, then wrap the socket in TLS for https."""
+        import socket  # loaded by the first request, not by importing tout
+
+        url = self._url
+        proxy = _proxy_for(url)
+        if proxy:
+            via = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            address = (via.hostname, via.port or 80)
+        else:
+            address = (url.hostname, url.port or (443 if url.scheme == "https" else 80))
+        conn.sock = socket.create_connection(address, timeout=self.timeout_s)
+        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if proxy:
+            lines = [f"CONNECT {self._target} HTTP/1.1", f"Host: {self._target}"]
+            if via.username:
+                import base64
+
+                credentials = f"{unquote(via.username)}:{unquote(via.password or '')}"
+                token = base64.b64encode(credentials.encode("utf-8")).decode("ascii")
+                lines.append(f"Proxy-Authorization: Basic {token}")
+            conn.sock.sendall(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
+            _, status, _ = conn.head()
+            if not 200 <= status < 300:
+                raise OSError(f"proxy {via.hostname} refused the tunnel: HTTP {status}")
+        if url.scheme == "https":
+            conn.sock = self._tls_context().wrap_socket(
+                conn.sock, server_hostname=url.hostname
+            )
+
+    def _tls_context(self):
+        """The backend's TLS context, made on first use: the system's
+        certificate store (or SSL_CERT_FILE), verifying the host name."""
+        import ssl
+
+        with self._pool_lock:
+            if self._tls is None:
+                self._tls = ssl.create_default_context()
+                self._tls.set_alpn_protocols(["http/1.1"])
+            return self._tls
+
+    def _exchange(self, data: bytes):
         """One POST on this thread's connection: (status, headers, body)."""
+        request = b"%s%d\r\n\r\n%s" % (self._head, len(data), data)
         while True:
             conn = self._connection()
             reused = conn.sock is not None  # kept alive from an earlier request
+            conn.received = False
             try:
-                conn.request("POST", self._path, body=data, headers=headers)
-                resp = conn.getresponse()
-                return resp.status, resp.headers, resp.read()
+                if not reused:
+                    self._open(conn)
+                conn.sock.sendall(request)
+                status, headers, body, keep = conn.response()
             except BaseException as exc:
-                conn.close()
-                with self._pool_lock:
-                    self._connections.discard(conn)
-                # http.client's RemoteDisconnected is a ConnectionResetError:
-                # a server may close a keep-alive connection while it idles.
-                stale = isinstance(exc, (BrokenPipeError, ConnectionResetError))
-                if not (reused and stale):
-                    raise
+                self._drop(conn)
+                # a server may close a keep-alive connection while it idles:
+                # an error on one, before any byte of a reply, is not a failure
+                if (
+                    reused
+                    and not conn.received
+                    and isinstance(exc, OSError)
+                    and not isinstance(exc, TimeoutError)
+                ):
+                    continue
+                raise
+            if not keep:
+                self._drop(conn)
+            return status, headers, body
 
     def _pause(self, seconds: float) -> float:
         """Hold every thread's next request until seconds from now; returns
@@ -424,13 +689,8 @@ class HttpBackend(Backend):
         self, body: dict[str, Any]
     ) -> tuple[list[str], Optional[dict[str, Any]]]:
         """POST a request body: the completions and usage of the reply."""
-        import http.client
-
         url = self.base_url + "/v1/chat/completions"
         data = json.dumps(body).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         last_status: Optional[int] = None
         last_error = "no attempt made"
         retry_after = 0.0
@@ -452,8 +712,8 @@ class HttpBackend(Backend):
             self._await_pause(paused)
             attempts += 1
             try:
-                status, resp_headers, raw = self._exchange(data, headers)
-            except (OSError, http.client.HTTPException) as exc:
+                status, resp_headers, raw = self._exchange(data)
+            except OSError as exc:
                 last_error = repr(exc)
                 continue
             last_status = status
@@ -476,7 +736,7 @@ class HttpBackend(Backend):
                 return completions, usage
             last_error = f"HTTP {status}: {text[:200]}"
             if status == 429:
-                retry_after = _retry_after_s(resp_headers.get("Retry-After"))
+                retry_after = _retry_after_s(resp_headers.get("retry-after"))
                 if retry_after > self.backoff_s * 2**self.max_retries:
                     # a quota that far off: sleeping on it would stall the run
                     last_error += f" (Retry-After {retry_after:g}s)"

@@ -12,7 +12,6 @@ import base64
 import dataclasses
 import gc
 import hashlib
-import http.client
 import json
 import logging
 import os
@@ -22,6 +21,7 @@ import socket
 import socketserver
 import subprocess
 import sys
+import sysconfig
 import tempfile
 import threading
 import time
@@ -295,7 +295,7 @@ class _Endpoint:
     (status, headers, body) responses in order and logs each request's
     path, JSON body, headers and client address."""
 
-    def __init__(self):
+    def __init__(self, tls=None):
         self.responses = []
         self.calls = []
         self.sockets = []  # server side of every connection accepted
@@ -304,11 +304,15 @@ class _Endpoint:
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), _EndpointHandler)
         self.server.daemon_threads = True
         self.server.endpoint = self
+        if tls is not None:  # an ssl.SSLContext serving https://localhost
+            self.server.socket = tls.wrap_socket(self.server.socket, server_side=True)
         self.thread = threading.Thread(
             target=self.server.serve_forever, args=(0.05,), daemon=True
         )
         self.thread.start()
-        self.url = f"http://127.0.0.1:{self.server.server_port}"
+        host = "127.0.0.1" if tls is None else "localhost"
+        scheme = "http" if tls is None else "https"
+        self.url = f"{scheme}://{host}:{self.server.server_port}"
 
     def reply(self, *responses):
         self.responses.extend(responses)
@@ -391,6 +395,82 @@ def connect_proxy():
     server.server_close()
     thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+class _RawReplies(socketserver.StreamRequestHandler):
+    """Reads each request whole, then sends the server's next canned reply:
+    a list of byte strings written apart, 20 ms between them, where None
+    closes the connection. No reply left also closes it."""
+
+    def handle(self):
+        server = self.server
+        with server.lock:
+            server.connections += 1
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        try:
+            while True:
+                head = b""
+                while not head.endswith(b"\r\n\r\n"):
+                    line = self.rfile.readline()
+                    if not line:
+                        return
+                    head += line
+                length = next(
+                    int(line.split(b":")[1])
+                    for line in head.split(b"\r\n")
+                    if line.lower().startswith(b"content-length:")
+                )
+                self.rfile.read(length)
+                with server.lock:
+                    server.requests.append(head.decode("latin-1"))
+                    parts = server.replies.pop(0) if server.replies else [None]
+                for part in parts:
+                    if part is None:
+                        return
+                    self.request.sendall(part)
+                    time.sleep(0.02)
+        except OSError:
+            return  # the client gave up on the reply
+
+
+@pytest.fixture
+def raw_server(monkeypatch):
+    """A loopback server that answers with canned raw bytes (_RawReplies)."""
+    for name in _PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _RawReplies)
+    server.daemon_threads = True
+    server.lock = threading.Lock()
+    server.connections, server.requests, server.replies = 0, [], []
+    server.url = f"http://127.0.0.1:{server.server_address[1]}"
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    backends = []
+
+    def client(**kwargs):
+        backend = HttpBackend(
+            base_url=server.url, model="m1", backoff_s=0.0, max_retries=2, **kwargs
+        )
+        backends.append(backend)
+        return backend
+
+    server.client = client
+    yield server
+    for backend in backends:
+        backend.close()
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def _reply_body(text):
+    return _choices(text)[2].encode()
+
+
+def _sized(text, head=b"HTTP/1.1 200 OK\r\n"):
+    body = _reply_body(text)
+    return head + b"Content-Length: %d\r\n\r\n" % len(body) + body
 
 
 class TestHttpBackend:
@@ -579,6 +659,8 @@ class TestHttpBackend:
         ("backoff_s", -0.5), ("backoff_s", float("nan")), ("backoff_s", float("inf")),
         ("timeout_s", 0), ("timeout_s", -1.0), ("timeout_s", float("nan")),
         ("timeout_s", float("inf")), ("timeout_s", "60"),
+        ("max_in_flight", 0), ("max_in_flight", 2.5), ("max_in_flight", True),
+        ("max_in_flight", "4"), ("max_in_flight", None),
     ])
     def test_rejects_retry_settings_it_cannot_use(self, setting, value):
         # max_retries=-1 once failed every request at once, sending none
@@ -649,20 +731,152 @@ class TestHttpTransport:
         backend.generate(BackendRequest(prompt="p", temperature=0.5))
         assert endpoint.calls[0]["path"] == "/prefix/v1/chat/completions"
 
-    def test_connection_class_follows_the_scheme(self, monkeypatch):
+    def test_tls_wrap_follows_the_scheme(self, monkeypatch):
+        import ssl
+
         for name in _PROXY_VARIABLES:
             monkeypatch.delenv(name, raising=False)
-        for scheme, kind in [
-            ("https", http.client.HTTPSConnection),
-            ("http", http.client.HTTPConnection),
-        ]:
-            backend = HttpBackend(base_url=f"{scheme}://api.example.test", model="m1")
-            try:
-                conn = backend._connection()  # made, not yet connected
-                assert type(conn) is kind
-                assert conn.sock is None
-            finally:
-                backend.close()
+        wrapped = []
+
+        def wrap(context, sock, server_hostname=None):
+            wrapped.append(server_hostname)
+            return sock
+
+        monkeypatch.setattr(ssl.SSLContext, "wrap_socket", wrap)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
+            for scheme, names in [("https", ["localhost"]), ("http", [])]:
+                backend = HttpBackend(base_url=f"{scheme}://localhost:{port}", model="m1")
+                try:
+                    conn = backend._connection()
+                    assert conn.sock is None  # made, not yet connected
+                    backend._open(conn)  # as the first request does
+                    assert isinstance(conn.sock, socket.socket)
+                    assert wrapped == names
+                finally:
+                    backend.close()
+                wrapped.clear()
+
+    def test_https_round_trip(self, monkeypatch):
+        import ssl
+
+        certs = Path(sysconfig.get_path("stdlib")) / "test" / "certdata"
+        if not all((certs / name).is_file() for name in ("keycert3.pem", "pycacert.pem")):
+            pytest.skip("CPython's test certificates are not installed")
+        for name in _PROXY_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("SSL_CERT_FILE", str(certs / "pycacert.pem"))
+        tls = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
+        tls.load_cert_chain(certs / "keycert3.pem")  # issued to localhost
+        server = _Endpoint(tls)
+        try:
+            server.reply(_choices("sealed"), _choices("again"))
+            backend = server.client()
+            request = BackendRequest(prompt="p", temperature=0.5)
+            assert backend.generate(request).completions == ("sealed",)
+            assert backend.generate(request).completions == ("again",)
+            (conn,) = backend._connections
+            assert isinstance(conn.sock, ssl.SSLSocket)
+            assert len(server.sockets) == 1  # kept alive over TLS
+            assert server.calls[0]["headers"]["Host"] == server.url[len("https://"):]
+        finally:
+            server.close()
+        assert server.unexpected == 0
+
+    def test_request_head_on_the_wire(self, endpoint):
+        endpoint.reply(_choices("hi"))
+        endpoint.client().generate(BackendRequest(prompt="p", temperature=0.5))
+        headers = endpoint.calls[0]["headers"]
+        # without identity a server may gzip a reply the client cannot read
+        assert headers["Accept-Encoding"] == "identity"
+        assert headers["Host"] == endpoint.url[len("http://"):]
+        assert headers["Content-Type"] == "application/json"
+        assert "Authorization" not in headers  # no key set
+
+    def test_chunked_body(self, raw_server):
+        body = _reply_body("chunked")
+        raw_server.replies.append([
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n",
+            b"%x;ext=1\r\n%s\r\n" % (5, body[:5]),
+            b"%X\r\n%s\r\n0\r\n" % (len(body) - 5, body[5:]),
+            b"Trailer-Field: x\r\n\r\n",
+        ])
+        raw_server.replies.append([_sized("next")])
+        backend = raw_server.client()
+        request = BackendRequest(prompt="p", temperature=0.5)
+        assert backend.generate(request).completions == ("chunked",)
+        assert backend.generate(request).completions == ("next",)
+        assert raw_server.connections == 1  # kept alive after a chunked body
+
+    def test_content_length_body_split_across_reads(self, raw_server):
+        reply = _sized("split")
+        raw_server.replies.append([reply[:10], reply[10:40], reply[40:-7], reply[-7:]])
+        backend = raw_server.client()
+        request = BackendRequest(prompt="p", temperature=0.5)
+        assert backend.generate(request).completions == ("split",)
+
+    def test_head_with_bare_line_feeds(self, raw_server):
+        # the body holds a blank CRLF line, after the head's end
+        body = b'{"choices": [\r\n\r\n{"message": {"content": "lf"}}]}'
+        raw_server.replies.append([b"HTTP/1.1 200 OK\nContent-Length: %d\n\n%s" % (len(body), body)])
+        backend = raw_server.client()
+        request = BackendRequest(prompt="p", temperature=0.5)
+        assert backend.generate(request).completions == ("lf",)
+
+    def test_close_delimited_body(self, raw_server):
+        raw_server.replies.append([b"HTTP/1.1 200 OK\r\n\r\n", _reply_body("all"), None])
+        raw_server.replies.append([_sized("next")])
+        backend = raw_server.client()
+        request = BackendRequest(prompt="p", temperature=0.5)
+        assert backend.generate(request).completions == ("all",)
+        assert backend.generate(request).completions == ("next",)
+        assert raw_server.connections == 2
+
+    def test_interim_heads_are_skipped(self, raw_server):
+        raw_server.replies.append([
+            b"HTTP/1.1 100 Continue\r\n\r\n",
+            b"HTTP/1.1 103 Early Hints\r\nLink: </style.css>\r\n\r\n" + _sized("final"),
+        ])
+        backend = raw_server.client()
+        request = BackendRequest(prompt="p", temperature=0.5)
+        assert backend.generate(request).completions == ("final",)
+        assert len(raw_server.requests) == 1
+
+    @pytest.mark.parametrize("head, reused", [
+        (b"HTTP/1.1 200 OK\r\nConnection: close\r\n", False),
+        (b"HTTP/1.0 200 OK\r\n", False),
+        (b"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\n", True),
+        (b"HTTP/1.1 200 OK\r\nConnection: keep-alive\r\n", True),
+    ], ids=["close", "http-1.0", "http-1.0-keep-alive", "keep-alive"])
+    def test_connection_reuse_follows_the_reply(self, raw_server, head, reused):
+        raw_server.replies.append([_sized("first", head)])
+        raw_server.replies.append([_sized("second")])
+        backend = raw_server.client()
+        request = BackendRequest(prompt="p", temperature=0.5)
+        assert backend.generate(request).completions == ("first",)
+        assert backend.generate(request).completions == ("second",)
+        assert raw_server.connections == (1 if reused else 2)
+
+    @pytest.mark.parametrize("reply", [
+        [b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"choices\"", None],
+        [b"HTTP/1.1 200 OK\r\nX-Pad: " + b"x" * (70 * 1024) + b"\r\n\r\n"],
+        [b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\n{\"ch", None],
+        [b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n"],
+        [b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n"],
+        [b"SMTP ready\r\n\r\n"],
+        [b"HTTP/1.1 200", None],
+    ], ids=[
+        "body-cut-short", "head-over-64KiB", "chunk-cut-short", "bad-chunk-size",
+        "bad-content-length", "bad-status-line", "head-cut-short",
+    ])
+    def test_broken_reply_is_retried_then_fails(self, raw_server, reply):
+        raw_server.replies.extend([reply] * 3)
+        with pytest.raises(BackendUnavailableError) as err:
+            raw_server.client().generate(BackendRequest(prompt="p", temperature=0.5))
+        assert "HttpProtocolError" in str(err.value)
+        assert err.value.last_status is None
+        assert len(raw_server.requests) == 3  # max_retries=2: every attempt
+        assert raw_server.connections == 3  # a broken connection is not reused
 
     def test_close_closes_every_connection_and_the_backend_still_works(
         self, endpoint
@@ -748,6 +962,10 @@ class _AnswerHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _WideServer(ThreadingHTTPServer):
+    request_queue_size = 128  # a search step's connections all at once
+
+
 @pytest.fixture
 def answering_server(monkeypatch):
     """Starts loopback servers that answer through a given function and
@@ -757,7 +975,7 @@ def answering_server(monkeypatch):
     running = []
 
     def start(answer):
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _AnswerHandler)
+        server = _WideServer(("127.0.0.1", 0), _AnswerHandler)
         server.daemon_threads = True
         server.answer = answer
         thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
@@ -812,7 +1030,7 @@ class TestRequestPool:
         # nothing was sent in the 0.3 s the 429 asked for, from any thread
         assert min(after) - sent_429 >= 0.3
 
-    def test_default_width_sends_a_100_draw_step_32_at_a_time(
+    def test_default_width_sends_a_100_draw_step_at_once(
         self, answering_server, tmp_path
     ):
         gate = threading.Condition()
@@ -823,9 +1041,10 @@ class TestRequestPool:
                 seen["active"] += 1
                 seen["peak"] = max(seen["peak"], seen["active"])
                 gate.notify_all()
-                # requests are held until 32 have been in at once; a narrower
-                # pool never gets there, and then each goes on after a second
-                gate.wait_for(lambda: seen["peak"] >= 32, timeout=1.0)
+                # requests are held until all 100 have been in at once; a
+                # narrower pool never gets there, and then each goes on
+                # after five seconds
+                gate.wait_for(lambda: seen["peak"] >= 100, timeout=5.0)
                 seen["active"] -= 1  # before the reply: no overlap with the next
             prompt = body["messages"][0]["content"]
             return _choices(f"{prompt} at {body['temperature']}")
@@ -849,7 +1068,7 @@ class TestRequestPool:
             # puts are made in draw order at every width
             runs[name] = (responses, CacheLog(cache.cache_dir).raw())
             if width is None:
-                assert seen["peak"] == 32
+                assert seen["peak"] == 100
         assert runs["default"] == runs["one"]
         assert len(CacheLog(tmp_path / "one").entries()) == 100
 
@@ -1060,26 +1279,49 @@ print("numpy" in sys.modules)
 """
 
 
-class TestImportFootprint:
-    """numpy serves only the synthetic oracle and loads when one is built.
+_PLAIN_HTTP_SCRIPT = """
+import sys
+from tout.backends import BackendRequest, HttpBackend
+backend = HttpBackend(base_url=sys.argv[1], model="m1")
+print(backend.generate(BackendRequest(prompt="p", temperature=0.5)).completions)
+backend.close()
+print(sorted(m for m in ("http.client", "ssl", "urllib.request") if m in sys.modules))
+"""
 
-    The test process has numpy loaded already, so a fresh interpreter runs
+
+def _fresh_python(script, *args):
+    """Run a script in a fresh interpreter that imports this tout, without
+    a proxy variable in its environment; returns its standard output."""
+    package_root = Path(tout.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k not in _PROXY_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(package_root), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestImportFootprint:
+    """numpy serves only the synthetic oracle and loads when one is built;
+    a plain-http request loads neither http.client nor ssl.
+
+    The test process has those loaded already, so a fresh interpreter runs
     the imports and reports what they loaded.
     """
 
     def test_numpy_loads_with_the_first_oracle(self, tmp_path):
-        package_root = Path(tout.__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(package_root), env.get("PYTHONPATH")])
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", _FOOTPRINT_SCRIPT, str(tmp_path / "cache")],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
+        out = _fresh_python(_FOOTPRINT_SCRIPT, str(tmp_path / "cache"))
         # before any oracle; once one is built; after its first draw
-        assert done.stdout.split() == ["False", "True", "True"]
+        assert out.split() == ["False", "True", "True"]
+
+    def test_plain_http_loads_neither_http_client_nor_ssl(self, endpoint):
+        endpoint.reply(_choices("hi"))
+        out = _fresh_python(_PLAIN_HTTP_SCRIPT, endpoint.url)
+        assert out.splitlines() == ["('hi',)", "[]"]
 
 
 class _CountingBackend(Backend):
