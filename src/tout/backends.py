@@ -1,17 +1,18 @@
 """Text-generation boundary.
 
-Four interchangeable backends sit behind one ``generate`` call:
+Three interchangeable backends sit behind one ``generate`` call:
 
 * HttpBackend      -- OpenAI-compatible chat-completions endpoint over HTTP.
 * ScriptedBackend  -- pure table lookup; the deterministic test double.
 * SyntheticOracleBackend -- seeded noisy oracle for desk-scale experiments.
-* ResponseCache / cached_generate -- content-addressed response cache,
-  one append-only log per directory with one line per entry, indexed by
-  offset in memory; cached_generate is the one-draw case of
-  cached_generate_many, one loop for every backend width: it reads,
-  generates and puts each draw in order, generating misses on the
-  caller's thread at width 1 and through the backend's one pool
-  otherwise, so that pool bounds requests across all threads.
+
+In front of them sits ResponseCache, a content-addressed response cache:
+one append-only log per directory with one line per entry, indexed by
+offset in memory. cached_generate is the one-request case of
+cached_generate_many, one loop for every backend width: it reads,
+generates and puts each request in order, generating misses on the
+caller's thread at width 1 and through the backend's one pool otherwise,
+so that pool bounds requests across all threads.
 
 Temperature is the only model knob the engine manipulates, so backends must
 keep responses at distinct temperatures genuinely distinct (cache keys
@@ -80,9 +81,10 @@ class BackendRequest:
     n: int
     max_tokens: int
     stop: Optional[tuple[str, ...]]
-    # The draw's cache batch index. Neither sent nor keyed (request_to_body
-    # and cache_key leave it out): a backend that answers from a stream per
-    # prompt serves draw ``index`` of it; None asks for the next draws.
+    # The draw's number among its state's value draws; None, keyed as 0,
+    # for a request that is not one. Keyed (cache_key) but not sent
+    # (request_to_body): a backend that answers from a stream per prompt
+    # serves draw ``index`` of it; None asks for the next draws.
     index: Optional[int]
 
     # Written out rather than generated: the generated __init__ checks its
@@ -172,8 +174,8 @@ class Backend:
     HttpBackend is DEFAULT_MAX_IN_FLIGHT (128) wide, so a search step's
     k*m value draws (100 at the game24 settings) go out in one round trip;
     the in-process backends are 1 wide. A request's ``index`` is its draw's
-    cache batch index, for a backend whose answers depend on it rather than
-    on call order.
+    number, for a backend whose answers depend on it rather than on call
+    order.
     """
 
     backend_id: str = "backend"
@@ -960,7 +962,7 @@ class ResponseCache:
     """Content-addressed response cache: one append-only log per directory.
 
     Keys include the backend id, prompt digest, quantized temperature, n,
-    max_tokens, stop and a sample-batch index, so repeated draws at one
+    max_tokens, stop and the draw index (None as 0), so repeated draws at one
     temperature stay distinct while identical requests are served from
     disk. Each entry is one line of the directory's ``responses.log``: the
     64-hex key, a space, the entry's JSON and a newline. A put appends its
@@ -985,9 +987,9 @@ class ResponseCache:
     warning. ``close()`` releases the log's descriptor, as does collecting
     the cache; a closed cache reopens the log when used again.
 
-    cache_key is the key of one draw. cached_generate_many builds a batch's
-    keys with batch_keys, which computes each distinct prompt's digest and
-    key prefix once per batch; the keys are the same bytes.
+    cache_key is the key of one request. cached_generate_many builds a
+    batch's keys with batch_keys, which computes each distinct prompt's
+    digest and key prefix once per batch; the keys are the same bytes.
     """
 
     def __init__(self, cache_dir: str | Path):
@@ -1029,9 +1031,7 @@ class ResponseCache:
             self._torn = False
 
     @staticmethod
-    def cache_key(
-        backend_id: str, request: BackendRequest, batch_index: int = 0
-    ) -> str:
+    def cache_key(backend_id: str, request: BackendRequest) -> str:
         payload = _KEY_ENCODER.encode(
             [
                 backend_id,
@@ -1040,31 +1040,30 @@ class ResponseCache:
                 request.n,
                 request.max_tokens,
                 list(request.stop) if request.stop else None,
-                batch_index,
+                request.index or 0,
             ]
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     @staticmethod
-    def batch_keys(
-        backend_id: str, draws: Sequence[tuple[BackendRequest, int]]
-    ) -> list[str]:
-        """cache_key of each (request, batch index) draw, in order.
+    def batch_keys(backend_id: str, requests: Sequence[BackendRequest]) -> list[str]:
+        """cache_key of each request, in order.
 
         The JSON-encoded ``[backend_id,digest`` prefix of each distinct
-        prompt is hashed once for the call; per draw the prefix's hash is
+        prompt is hashed once for the call; per request the prefix's hash is
         copied and only the tail is formatted and hashed: the prefix and
-        tail bytes concatenate to cache_key's payload. A draw whose
+        tail bytes concatenate to cache_key's payload. A request whose
         tail holds anything but plain ints (a bool n, say) is keyed by
         cache_key itself.
         """
         prefixes: dict[str, Any] = {}  # prompt -> sha256 of its key prefix
         keys: list[str] = []
-        for request, batch_index in draws:
+        for request in requests:
             t = quantize_temperature(request.temperature)
             n, max_tokens, stop = request.n, request.max_tokens, request.stop
-            if not (type(t) is type(n) is type(max_tokens) is type(batch_index) is int):
-                keys.append(ResponseCache.cache_key(backend_id, request, batch_index))
+            index = request.index or 0
+            if not (type(t) is type(n) is type(max_tokens) is type(index) is int):
+                keys.append(ResponseCache.cache_key(backend_id, request))
                 continue
             prefix = prefixes.get(request.prompt)
             if prefix is None:
@@ -1074,7 +1073,7 @@ class ResponseCache:
                 )
             stop_json = _KEY_ENCODER.encode(list(stop)) if stop else "null"
             digest = prefix.copy()
-            digest.update(f",{t},{n},{max_tokens},{stop_json},{batch_index}]".encode())
+            digest.update(f",{t},{n},{max_tokens},{stop_json},{index}]".encode())
             keys.append(digest.hexdigest())
         return keys
 
@@ -1206,9 +1205,9 @@ def cached_generate(
     request: BackendRequest,
     transcript: Optional[Transcript] = None,
 ) -> BackendResponse:
-    """generate() behind a cache: cached_generate_many() of the one draw
-    (request, 0); a missing or disabled cache passes through."""
-    return next(cached_generate_many(cache, backend, [(request, 0)], transcript))
+    """generate() behind a cache: cached_generate_many() of the one
+    request; a missing or disabled cache passes through."""
+    return next(cached_generate_many(cache, backend, [request], transcript))
 
 
 def _generate_buffered(
@@ -1226,11 +1225,11 @@ _TWIN = object()  # a draw whose cache key an earlier miss of its batch carries
 def cached_generate_many(
     cache: Optional[ResponseCache],
     backend: Backend,
-    draws: Sequence[tuple[BackendRequest, int]],
+    requests: Sequence[BackendRequest],
     transcript: Optional[Transcript] = None,
 ) -> Iterator[BackendResponse]:
-    """Responses to independent (request, batch index) draws, in order:
-    each is read from the cache or generated, and a generated one is put.
+    """Responses to independent requests (draws), in order: each is read
+    from the cache or generated, and a generated one is put.
 
     The first ``next()`` makes one ``ResponseCache.get`` per draw, in order,
     except for a twin, a draw whose cache key an earlier miss of the batch
@@ -1252,26 +1251,26 @@ def cached_generate_many(
     """
     keys: list[str] = []
     if cache is not None and cache.enabled:
-        keys = ResponseCache.batch_keys(backend.backend_id, draws)
+        keys = ResponseCache.batch_keys(backend.backend_id, requests)
     # per draw: a hit, _TWIN, a Future of a pooled miss, or None for a
     # miss generated in its turn
-    ahead: list[Any] = [None] * len(draws)
+    ahead: list[Any] = [None] * len(requests)
     missed: set[str] = set()
     for i, key in enumerate(keys):
         if key in missed:
             ahead[i] = _TWIN
             continue
-        ahead[i] = _lookup(cache, key, draws[i][0])
+        ahead[i] = _lookup(cache, key, requests[i])
         if ahead[i] is None:
             missed.add(key)
     pool = None
-    if backend.max_in_flight > 1 and (missed or not keys) and draws:  # any miss
+    if backend.max_in_flight > 1 and (missed or not keys) and requests:  # any miss
         pool = backend.executor()
         for i, found in enumerate(ahead):
             if found is None:
-                ahead[i] = pool.submit(_generate_buffered, backend, draws[i][0])
+                ahead[i] = pool.submit(_generate_buffered, backend, requests[i])
     try:
-        for i, (request, _) in enumerate(draws):
+        for i, request in enumerate(requests):
             response = ahead[i]
             if response is _TWIN:
                 response = _lookup(cache, keys[i], request)

@@ -64,11 +64,17 @@ class ResultRow:
 
 @dataclass
 class EpisodeResult:
-    problem_id: str
-    verdicts: dict[str, float]
     seconds: float
     record: RunRecord
     resumed: bool = False
+
+    @property
+    def problem_id(self) -> str:
+        return self.record.problem_id
+
+    @property
+    def verdicts(self) -> dict[str, float]:
+        return self.record.verdicts
 
 
 @dataclass
@@ -77,10 +83,13 @@ class BenchmarkReport:
     method: str
     config: SearchConfig
     metrics: dict[str, float]
-    episodes: int
     seconds: float
     results: list[EpisodeResult]
     digest: str = ""
+
+    @property
+    def episodes(self) -> int:
+        return len(self.results)
 
     def rows(self) -> list[ResultRow]:
         """One row per metric, values scaled to percentages in [0, 100]."""
@@ -210,12 +219,7 @@ def _run_episode(
         final_output=output,
         verdicts=verdicts,
     )
-    return EpisodeResult(
-        problem_id=problem.problem_id,
-        verdicts=verdicts,
-        seconds=seconds,
-        record=record,
-    )
+    return EpisodeResult(seconds=seconds, record=record)
 
 
 def run_benchmark(
@@ -266,13 +270,7 @@ def run_benchmark(
     def run_one(index: int, problem: Problem) -> EpisodeResult:
         record = existing.get((problem.problem_id, digest))
         if record is not None and not _episode_failed(record.verdicts):
-            return EpisodeResult(
-                problem_id=problem.problem_id,
-                verdicts=dict(record.verdicts),
-                seconds=0.0,
-                record=record,
-                resumed=True,
-            )
+            return EpisodeResult(seconds=0.0, record=record, resumed=True)
         seed = episode_seed(run_seed, index)
         episode_config = replace(config, seed=seed)
         result = _run_episode(
@@ -332,7 +330,6 @@ def run_benchmark(
         method=label or method,
         config=base,
         metrics=metrics,
-        episodes=len(results),
         seconds=math.fsum(r.seconds for r in results),
         results=results,
         digest=digest,
@@ -392,19 +389,13 @@ def run_m_sweep(
     """One report per sample count m, all else held fixed."""
     if not m_values:
         raise InvalidArgumentError("m_values must not be empty")
-    reports = []
-    for m in m_values:
-        reports.append(
-            run_benchmark(
-                task,
-                problems,
-                method,
-                backend_factory,
-                replace(config, m=m),
-                **kwargs,
-            )
-        )
-    return reports
+    configs = [replace(config, m=m) for m in m_values]
+    for swept in configs:  # a bad m fails before any episode runs
+        swept.validate()
+    return [
+        run_benchmark(task, problems, method, backend_factory, swept, **kwargs)
+        for swept in configs
+    ]
 
 
 def synthetic_setup(

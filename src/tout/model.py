@@ -63,17 +63,16 @@ class State:
 
     input: str
     thoughts: tuple[str, ...]
-    depth: int
     id: int
     parent_id: Optional[int] = None
 
     def __post_init__(self):
-        if self.depth != len(self.thoughts):
-            raise InvalidArgumentError(
-                f"depth {self.depth} != number of thoughts {len(self.thoughts)}"
-            )
-        if self.depth == 0 and self.parent_id is not None:
+        if not self.thoughts and self.parent_id is not None:
             raise InvalidArgumentError("a root state cannot have a parent")
+
+    @property
+    def depth(self) -> int:
+        return len(self.thoughts)
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ class StateStore:
         return state
 
     def root(self, problem_input: str) -> State:
-        return self._allocate(input=problem_input, thoughts=(), depth=0)
+        return self._allocate(input=problem_input, thoughts=())
 
     def get(self, state_id: int) -> State:
         try:
@@ -141,7 +140,6 @@ def extend_state(store: StateStore, parent: State, thought: str) -> State:
     return store._allocate(
         input=parent.input,
         thoughts=parent.thoughts + (thought,),
-        depth=parent.depth + 1,
         parent_id=parent.id,
     )
 

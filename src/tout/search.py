@@ -58,11 +58,14 @@ class SearchResult:
 
     final_output: str
     best_state: Optional[ScoredState]
-    visited: int
     recorded_outputs: list[tuple[str, float]]
     store: Optional[StateStore]
     transcript: Transcript
     scored: dict[int, ScoredState] = field(default_factory=dict)
+
+    @property
+    def visited(self) -> int:
+        return len(self.scored)
 
 
 def propose_thoughts(
@@ -213,7 +216,6 @@ def tout_bfs(
     return SearchResult(
         final_output=output,
         best_state=best_scored,
-        visited=len(scored),
         recorded_outputs=[(output, score)],
         store=store,
         transcript=transcript,
@@ -319,7 +321,6 @@ def tout_dfs(
     return SearchResult(
         final_output=final,
         best_state=scored.get(win_state.id),
-        visited=len(scored),
         recorded_outputs=[(out, score) for _, out, score in recorded],
         store=store,
         transcript=transcript,
@@ -361,7 +362,6 @@ def _run_baseline(
     return SearchResult(
         final_output=output,
         best_state=None,
-        visited=0,
         recorded_outputs=[(output, 0.0)],
         store=None,
         transcript=transcript,

@@ -81,21 +81,21 @@ def _schedule(config: SearchConfig) -> list[float]:
 
 def value_draws(
     task: TaskSpec, state: State, config: SearchConfig
-) -> list[tuple[BackendRequest, int]]:
-    """Every (request, cache batch index) that evaluate_state draws for the
-    state, in the order it consumes their responses.
+) -> list[BackendRequest]:
+    """Every request that evaluate_state draws for the state, in the order
+    it consumes their responses.
 
     Each draw is its own request (temperatures differ across the schedule)
-    and carries its index as the cache batch index, so repeated draws at
-    one temperature are still distinct requests. The request carries the
-    index too, so a seeded backend serves draw i the same whether or not
-    the cache answered the draws before it.
+    and carries its number as its ``index``, which the cache keys, so
+    repeated draws at one temperature are still distinct requests, and a
+    seeded backend serves draw i the same whether or not the cache
+    answered the draws before it.
     """
     prompt = task.value_prompt(state)
     # positional arguments: a keyword call of BackendRequest.__init__ costs
     # more, and this runs once per draw
     return [
-        (BackendRequest(prompt, t, 1, DEFAULT_MAX_TOKENS, None, i), i)
+        BackendRequest(prompt, t, 1, DEFAULT_MAX_TOKENS, None, i)
         for i, t in enumerate(_schedule(config))
     ]
 

@@ -14,9 +14,7 @@ from tout.uncertainty import temperature_schedule
 
 def make_state(problem_input: str, thoughts: tuple[str, ...] = ()) -> State:
     """Standalone state for prompt construction; ids are irrelevant here."""
-    return State(
-        input=problem_input, thoughts=tuple(thoughts), depth=len(thoughts), id=0
-    )
+    return State(input=problem_input, thoughts=tuple(thoughts), id=0)
 
 
 def schedule_for(config: SearchConfig) -> list[float]:

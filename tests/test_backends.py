@@ -12,6 +12,7 @@ import base64
 import dataclasses
 import gc
 import hashlib
+import inspect
 import json
 import logging
 import os
@@ -127,17 +128,18 @@ class TestRequestEncoding:
         with pytest.raises(InvalidArgumentError):
             dataclasses.replace(request, temperature=2.5)
 
-    def test_draw_index_is_neither_sent_nor_keyed(self):
+    def test_draw_index_is_keyed_but_not_sent(self):
         plain = BackendRequest(prompt="p", temperature=0.7)
+        first = BackendRequest(prompt="p", temperature=0.7, index=0)
         indexed = BackendRequest(prompt="p", temperature=0.7, index=3)
         assert request_to_body(indexed, "m1") == request_to_body(plain, "m1")
-        for batch_index in (0, 3):
-            assert ResponseCache.cache_key("b", indexed, batch_index) == (
-                ResponseCache.cache_key("b", plain, batch_index)
-            )
-        assert ResponseCache.batch_keys("b", [(indexed, 3)]) == (
-            ResponseCache.batch_keys("b", [(plain, 3)])
-        )
+        # None is keyed as draw 0, the slot that propose, final and baseline
+        # requests have always been keyed in, so their cache entries hit
+        assert ResponseCache.cache_key("b", plain) == ResponseCache.cache_key("b", first)
+        assert ResponseCache.cache_key("b", plain) != ResponseCache.cache_key("b", indexed)
+        assert ResponseCache.batch_keys("b", [plain, first, indexed]) == [
+            ResponseCache.cache_key("b", request) for request in (plain, first, indexed)
+        ]
 
     def test_body_shape(self):
         body = request_to_body(
@@ -1015,11 +1017,9 @@ class TestRequestPool:
         url = answering_server(answer)
         # backoff_s=0.05: 0.3 s is within the retry budget, 0.05 * 2**3
         backend = HttpBackend(base_url=url, model="m1", backoff_s=0.05, max_in_flight=4)
-        request = BackendRequest(prompt="p", temperature=0.5)
+        requests = [BackendRequest(prompt="p", temperature=0.5, index=i) for i in range(8)]
         try:
-            responses = list(
-                cached_generate_many(None, backend, [(request, i) for i in range(8)])
-            )
+            responses = list(cached_generate_many(None, backend, requests))
         finally:
             backend.close()
         assert [r.completions for r in responses] == [("ok",)] * 8
@@ -1052,7 +1052,7 @@ class TestRequestPool:
         url = answering_server(answer)
         # a step's value draws at the game24 settings: k=5 states, m=20 each
         draws = [
-            (BackendRequest(f"state {s}", round(0.2 + 0.04 * i, 2)), i)
+            BackendRequest(f"state {s}", round(0.2 + 0.04 * i, 2), index=i)
             for s in range(5)
             for i in range(20)
         ]
@@ -1289,17 +1289,23 @@ print(sorted(m for m in ("http.client", "ssl", "urllib.request") if m in sys.mod
 """
 
 
-def _fresh_python(script, *args):
-    """Run a script in a fresh interpreter that imports this tout, without
-    a proxy variable in its environment; returns its standard output."""
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this tout,
+    without a proxy variable."""
     package_root = Path(tout.__file__).resolve().parent.parent
     env = {k: v for k, v in os.environ.items() if k not in _PROXY_VARIABLES}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(package_root), env.get("PYTHONPATH")])
     )
+    return env
+
+
+def _fresh_python(script, *args):
+    """Run a script in a fresh interpreter that imports this tout, without
+    a proxy variable in its environment; returns its standard output."""
     done = subprocess.run(
         [sys.executable, "-c", script, *args],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_fresh_env(), capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -1465,11 +1471,11 @@ class TestResponseCache:
     def test_key_bytes_are_pinned(self):
         # cache entries written by earlier versions must keep hitting
         default = BackendRequest(prompt="p", temperature=0.5)
-        stopped = BackendRequest(prompt="p", temperature=0.5, stop=("\n",))
+        stopped = BackendRequest(prompt="p", temperature=0.5, stop=("\n",), index=3)
         assert ResponseCache.cache_key("b1", default) == (
             "6bcf80721b8282390341417216e1754dd4f006e9fd7e84f74c201aab128b2d28"
         )
-        assert ResponseCache.cache_key("b1", stopped, batch_index=3) == (
+        assert ResponseCache.cache_key("b1", stopped) == (
             "4c5bfd2e0a8d2a28d4d3ab728fbc85749baac230ee40de01ffba819847d0c379"
         )
         # a non-ASCII backend id is hashed in its escaped (ensure_ascii) form
@@ -1482,7 +1488,9 @@ class TestResponseCache:
         keys = {
             ResponseCache.cache_key("b1", base),
             ResponseCache.cache_key("b2", base),
-            ResponseCache.cache_key("b1", base, batch_index=1),
+            ResponseCache.cache_key(
+                "b1", BackendRequest(prompt="p", temperature=0.5, n=2, index=1)
+            ),
             ResponseCache.cache_key(
                 "b1", BackendRequest(prompt="p", temperature=0.6, n=2)
             ),
@@ -1527,10 +1535,12 @@ class TestResponseCache:
                 n=data.draw(st.one_of(st.integers(min_value=1), st.just(True))),
                 max_tokens=data.draw(st.integers(min_value=1)),
                 stop=data.draw(stops, label="stop"),
+                # True is an index too, keyed as true
+                index=data.draw(st.one_of(st.none(), st.integers(min_value=0),
+                                          st.just(True)), label="index"),
             )
-            draws.append((request, data.draw(st.integers(), label="batch index")))
-        expected = [ResponseCache.cache_key(backend_id, request, index)
-                    for request, index in draws]
+            draws.append(request)
+        expected = [ResponseCache.cache_key(backend_id, request) for request in draws]
         assert ResponseCache.batch_keys(backend_id, draws) == expected
         # each draw hashes its tail onto a copy of its prompt's prefix hash,
         # so no draw's tail leaks into another's, in either order
@@ -1545,11 +1555,11 @@ class TestResponseCache:
         assert first == second
         assert backend.calls == 1
 
-    def test_batch_index_forces_fresh_draw(self, tmp_path):
+    def test_draw_index_forces_fresh_draw(self, tmp_path):
         cache = ResponseCache(tmp_path)
         backend = _CountingBackend()
-        request = BackendRequest(prompt="p", temperature=0.5)
-        list(cached_generate_many(cache, backend, [(request, 0), (request, 1)]))
+        draws = [BackendRequest(prompt="p", temperature=0.5, index=i) for i in (0, 1)]
+        list(cached_generate_many(cache, backend, draws))
         assert backend.calls == 2
 
     def test_missing_cache_passes_through(self):
@@ -1650,7 +1660,7 @@ class TestResponseCache:
 
     def test_warm_batch_reads_each_draw_once_and_calls_nothing(self, tmp_path):
         cache = ResponseCache(tmp_path)
-        draws = [(BackendRequest(prompt=f"p{i % 3}", temperature=0.5), i)
+        draws = [BackendRequest(prompt=f"p{i % 3}", temperature=0.5, index=i)
                  for i in range(6)]
         cold = _WideCountingBackend()
         try:
@@ -1671,18 +1681,18 @@ class TestResponseCache:
         assert warm.calls == 0
         assert warm.pool_taken == 0  # a batch of hits alone is served as read
         assert transcript.events == []
-        assert seen == [ResponseCache.cache_key(warm.backend_id, request, index)
-                        for request, index in draws]
+        assert seen == [ResponseCache.cache_key(warm.backend_id, request)
+                        for request in draws]
 
     def test_half_warm_batch_issues_only_its_misses(self, tmp_path):
         # the wide path must leave what the reference sequential loop leaves
-        draws = [(BackendRequest(prompt=f"p{i % 2}", temperature=0.5), i)
+        draws = [BackendRequest(prompt=f"p{i % 2}", temperature=0.5, index=i)
                  for i in range(6)]
 
         def run(backend, cache_dir):
             cache = ResponseCache(cache_dir)
             for i in (0, 2, 4):  # every p0 draw is warm, every p1 draw cold
-                key = ResponseCache.cache_key(backend.backend_id, *draws[i])
+                key = ResponseCache.cache_key(backend.backend_id, draws[i])
                 cache.put(key, BackendResponse(completions=("cached",)))
             seen = []
             inner = cache.get
@@ -1827,6 +1837,28 @@ _LOG_STEPS = st.lists(
 )
 
 
+def _writer_entry(writer, i):
+    """The key and ~8 KiB completion of writer ``writer``'s i-th put."""
+    key = hashlib.sha256(f"{writer}/{i}".encode()).hexdigest()
+    return key, f"{writer}/{i} " + "abcdefgh" * 1024
+
+
+# argv: the cache directory, the writer's number, its number of puts
+_WRITER_SCRIPT = """
+import hashlib, sys
+from tout.backends import BackendResponse, ResponseCache
+""" + inspect.getsource(_writer_entry) + """
+cache = ResponseCache(sys.argv[1])
+writer, puts = int(sys.argv[2]), int(sys.argv[3])
+print("ready", flush=True)
+sys.stdin.readline()
+for i in range(puts):
+    key, text = _writer_entry(writer, i)
+    cache.put(key, BackendResponse(completions=(text,)))
+cache.close()
+"""
+
+
 class TestResponseLog:
     """The cache's one log per directory: appended by puts, indexed by
     offset, read from disk by every get."""
@@ -1959,6 +1991,42 @@ class TestResponseLog:
         assert cache.get(_LOG_KEYS[1]) == BackendResponse(completions=("theirs",))
         assert cache.get(_LOG_KEYS[2]) == BackendResponse(completions=("b",))
 
+    def test_writers_in_three_processes_leave_every_entry_intact(self, tmp_path):
+        # each entry is ~8 KiB, above PIPE_BUF: only a single O_APPEND write
+        # per line keeps another process's lines out of it
+        writers, puts = 3, 200
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _WRITER_SCRIPT, str(tmp_path), str(w), str(puts)],
+                env=_fresh_env(), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True,
+            )
+            for w in range(writers)
+        ]
+        try:
+            for proc in procs:  # every writer is ready before any writes
+                assert proc.stdout.readline() == "ready\n"
+            for proc in procs:
+                proc.stdin.write("go\n")
+                proc.stdin.flush()
+            for proc in procs:
+                _, err = proc.communicate(timeout=60)
+                assert proc.returncode == 0, err
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.communicate()
+        cache = ResponseCache(tmp_path)
+        for w in range(writers):
+            for i in range(puts):
+                key, text = _writer_entry(w, i)
+                assert cache.get(key) == BackendResponse(completions=(text,)), (w, i)
+        cache.close()
+        # a writer that finds another's append still in progress takes it
+        # for a torn line and starts its own with a newline: an empty line
+        lines = (tmp_path / LOG_NAME).read_bytes().split(b"\n")
+        assert lines.pop() == b"" and len(list(filter(None, lines))) == writers * puts
+
     def test_dropped_or_closed_cache_leaves_no_descriptor_open(self, tmp_path):
         gc.collect()
         before = _open_descriptors()
@@ -2035,8 +2103,8 @@ def _one_batch(draws, width, warm, writable):
     backend = _KeyedBackend(width)
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResponseCache(tmp)
-        for request, index in warm:
-            key = ResponseCache.cache_key(backend.backend_id, request, index)
+        for request in warm:
+            key = ResponseCache.cache_key(backend.backend_id, request)
             cache.put(key, BackendResponse(completions=("warm",)))
         seen = []
         inner = cache.get
@@ -2066,7 +2134,7 @@ def _one_batch(draws, width, warm, writable):
 
 _BATCH_DRAWS = st.lists(
     st.tuples(st.sampled_from(["p0", "p1", "p2"]), st.sampled_from([0.2, 0.5]),
-              st.integers(min_value=0, max_value=2)),
+              st.sampled_from([None, 0, 1, 2])),
     max_size=10,
 )
 
@@ -2078,8 +2146,7 @@ class TestOneDrawLoop:
     @settings(max_examples=60, deadline=None)
     @given(_BATCH_DRAWS, st.data(), st.booleans())
     def test_widths_agree(self, specs, data, writable):
-        draws = [(BackendRequest(prompt=p, temperature=t, index=i), i)
-                 for p, t, i in specs]
+        draws = [BackendRequest(prompt=p, temperature=t, index=i) for p, t, i in specs]
         warm = data.draw(st.lists(st.sampled_from(draws), unique=True)
                          if draws else st.just([]), label="warm")
         narrow, _ = _one_batch(draws, 1, warm, writable)
@@ -2091,8 +2158,7 @@ class TestOneDrawLoop:
 
     def test_unwritable_twins_are_read_once_and_sent_through_the_pool(self):
         # draws 3-5 share the keys of misses 0-2, whose puts all fail
-        draws = [(BackendRequest(prompt=f"p{i % 3}", temperature=0.5), 0)
-                 for i in range(6)]
+        draws = [BackendRequest(prompt=f"p{i % 3}", temperature=0.5) for i in range(6)]
         narrow, _ = _one_batch(draws, 1, [], writable=False)
         wide, threads = _one_batch(draws, 4, [], writable=False)
         assert wide == narrow
@@ -2142,9 +2208,8 @@ class TestWrongShapeEntries:
     def test_batch_reissues(self, tmp_path, caplog, entry, message):
         cache = ResponseCache(tmp_path)
         backend = _WideCountingBackend()
-        draws = [(BackendRequest(prompt="p", temperature=0.5), i) for i in range(3)]
-        keys = [ResponseCache.cache_key(backend.backend_id, request, index)
-                for request, index in draws]
+        draws = [BackendRequest(prompt="p", temperature=0.5, index=i) for i in range(3)]
+        keys = [ResponseCache.cache_key(backend.backend_id, request) for request in draws]
         CacheLog(tmp_path).write(keys[1], json.dumps(entry))
         try:
             with caplog.at_level(logging.WARNING, logger="tout.backends"):

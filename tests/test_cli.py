@@ -21,7 +21,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from helpers import EpisodeScript
-from tout.backends import LOG_NAME, Backend, ResponseCache
+from tout.backends import LOG_NAME, Backend, ResponseCache, SyntheticOracleBackend
 from tout.cli import build_parser, build_search_values, load_ini, load_script, main
 from tout.harness import default_run_id
 from tout.model import BackendUnavailableError, InvalidArgumentError, SearchConfig
@@ -357,6 +357,25 @@ class TestGridCommands:
         argv = ["sweep-m"] + synthetic_argv()[1:] + ["--m-values", values]
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_m_in_a_sweep_fails_before_any_episode(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        generate = SyntheticOracleBackend.generate
+
+        def counted(self, request):
+            calls.append(request)
+            return generate(self, request)
+
+        monkeypatch.setattr(SyntheticOracleBackend, "generate", counted)
+        records = tmp_path / "r.jsonl"
+        argv = ["sweep-m", "--task", "synthetic", "--episodes", "3",
+                "--m-values", "2,0", "--records", str(records)]
+        assert main(argv) == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert calls == []
+        assert not records.exists() or records.read_bytes() == b""
 
     def test_cached_sweep_records_what_an_uncached_sweep_records(self, tmp_path):
         # m=5 finds draw 0 of every state in the cache the m=1 run filled:

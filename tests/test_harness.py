@@ -49,7 +49,8 @@ from tout.model import (
     SearchConfig,
     best_path_from_events,
 )
-from tout.tasks import Problem, make_task
+from tout.search import METHODS
+from tout.tasks import TASK_NAMES, Problem, make_task
 from tout.tasks.synthetic import SyntheticTreeTask, build_trap_benchmark
 
 
@@ -58,6 +59,33 @@ def quick_setup(episodes=4, depth=1):
 
 
 QUICK = SearchConfig(k=2, b=1, T=1, m=3)
+
+# config_digest of a default SearchConfig per task and method. A run id and
+# every record's resume key embed it, so a change that moves one strands
+# the records and cache runs already made under it.
+PINNED_DIGESTS = {
+    ("game24", "io"): "f30b010a40248afd",
+    ("game24", "cot"): "8b826a47b6d6e8d1",
+    ("game24", "cot_sc"): "43e42f2e017787a6",
+    ("game24", "tot_bfs"): "79a13b83528d1c9a",
+    ("game24", "tot_dfs"): "c9e73f0b44c4ad52",
+    ("game24", "tout_bfs"): "c2b02d40bbf31b78",
+    ("game24", "tout_dfs"): "548748815b5cd965",
+    ("crosswords", "io"): "51e839956f8cb0b4",
+    ("crosswords", "cot"): "89553d422e616ecd",
+    ("crosswords", "cot_sc"): "46756086100dc0a3",
+    ("crosswords", "tot_bfs"): "f681387d5207610d",
+    ("crosswords", "tot_dfs"): "5863aaae70da99bf",
+    ("crosswords", "tout_bfs"): "6d90b275aab23b20",
+    ("crosswords", "tout_dfs"): "e9fb8236eb74ce53",
+    ("synthetic", "io"): "253fa845a98454b7",
+    ("synthetic", "cot"): "a933be9fd36102e8",
+    ("synthetic", "cot_sc"): "013f105efd0049b1",
+    ("synthetic", "tot_bfs"): "9b3de1557c847b52",
+    ("synthetic", "tot_dfs"): "cdce66ccd52a9b54",
+    ("synthetic", "tout_bfs"): "a5238accd6785df5",
+    ("synthetic", "tout_dfs"): "c0a8a0be17c87a74",
+}
 
 
 class TestIdentity:
@@ -83,6 +111,13 @@ class TestIdentity:
             config_digest("game24", "tout_bfs", replace(base, luq_enabled=False)),
         }
         assert len(digests) == 6
+
+    def test_digests_are_pinned(self):
+        assert {(task, method) for task in TASK_NAMES for method in METHODS} == (
+            set(PINNED_DIGESTS)
+        )
+        for (task, method), digest in PINNED_DIGESTS.items():
+            assert config_digest(task, method, SearchConfig()) == digest, (task, method)
 
     def test_default_run_id_shape(self):
         run_id = default_run_id("synthetic", "tout_bfs", QUICK)
@@ -726,9 +761,9 @@ class TestCrosswordBestMetrics:
         from tout.model import State
 
         config = SearchConfig(k=2, b=1, T=1, m=2, t_min=0.2, t_max=1.0)
-        root = State(input=puzzle_json, thoughts=(), depth=0, id=0)
-        child_good = State(input=puzzle_json, thoughts=("h1. HEART",), depth=1, id=1)
-        child_bad = State(input=puzzle_json, thoughts=("h1. WRONG",), depth=1, id=2)
+        root = State(input=puzzle_json, thoughts=(), id=0)
+        child_good = State(input=puzzle_json, thoughts=("h1. HEART",), id=1)
+        child_bad = State(input=puzzle_json, thoughts=("h1. WRONG",), id=2)
         script = {}
         script[ScriptedBackend.key(task.propose_prompt(root, 2), 1.0, 0)] = (
             "h1. HEART\nh1. WRONG"

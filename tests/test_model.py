@@ -67,9 +67,10 @@ class TestStateStore:
         assert len(store) == 2
         assert {s.id for s in store} == {0, 1}
 
-    def test_depth_must_match_thoughts(self):
+    def test_depth_is_the_thought_count_and_a_root_has_no_parent(self):
+        assert State(input="x", thoughts=("a", "b"), id=0, parent_id=1).depth == 2
         with pytest.raises(InvalidArgumentError):
-            State(input="x", thoughts=("a",), depth=2, id=0)
+            State(input="x", thoughts=(), id=1, parent_id=0)
 
 
 class TestSearchConfig:
