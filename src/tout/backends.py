@@ -438,6 +438,11 @@ def _proxy_for(url) -> Optional[str]:
     return proxy
 
 
+def _is_number(value: Any, kinds: type | tuple[type, ...]) -> bool:
+    """isinstance(value, kinds) for a value that is not a bool."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 class HttpBackend(Backend):
     """Client for any OpenAI-compatible /v1/chat/completions endpoint.
 
@@ -499,17 +504,14 @@ class HttpBackend(Backend):
             )
         if not self.model:
             raise InvalidArgumentError(f"no model name: pass model or set {ENV_MODEL}")
-        if (
-            isinstance(max_in_flight, bool)
-            or not isinstance(max_in_flight, int)
-            or max_in_flight < 1
-        ):
+        # bool is an int subclass, but True is no count and no duration
+        if not _is_number(max_in_flight, int) or max_in_flight < 1:
             raise InvalidArgumentError("max_in_flight must be an int >= 1")
-        if not isinstance(max_retries, int) or max_retries < 0:
+        if not _is_number(max_retries, int) or max_retries < 0:
             raise InvalidArgumentError("max_retries must be an int >= 0")
-        if not isinstance(backoff_s, (int, float)) or not 0 <= backoff_s < math.inf:
+        if not _is_number(backoff_s, (int, float)) or not 0 <= backoff_s < math.inf:
             raise InvalidArgumentError("backoff_s must be finite and >= 0")
-        if not isinstance(timeout_s, (int, float)) or not 0 < timeout_s < math.inf:
+        if not _is_number(timeout_s, (int, float)) or not 0 < timeout_s < math.inf:
             raise InvalidArgumentError("timeout_s must be finite and > 0")
         self._url = urlsplit(self.base_url)
         try:
@@ -1146,13 +1148,15 @@ class ResponseCache:
                 raise ValueError("the line does not start with its key")
             data = _decode_entry(line[_KEY_LEN + 1 :].decode("utf-8"))
             completions, usage = data["completions"], data.get("usage")
-            if not isinstance(completions, list) or not all(
-                isinstance(text, str) for text in completions
-            ):
+            # JSON decodes to exact list, str and dict, so type() is isinstance
+            if type(completions) is not list:
                 raise TypeError("completions is not a list of strings")
-            if usage is not None and not isinstance(usage, dict):
+            for text in completions:
+                if type(text) is not str:
+                    raise TypeError("completions is not a list of strings")
+            if usage is not None and type(usage) is not dict:
                 raise TypeError("usage is neither an object nor null")
-            return BackendResponse(completions=tuple(completions), usage=usage)
+            return BackendResponse(tuple(completions), usage)
         except (ValueError, KeyError, TypeError) as exc:  # ValueError: UTF-8, JSON
             log.warning("damaged cache entry %s treated as a miss: %s", key, exc)
             return None
@@ -1247,7 +1251,8 @@ def cached_generate_many(
     cache every draw is a miss. A failed draw raises its error in its turn,
     after every draw before it has been yielded; when a draw fails or the
     consumer closes the stream, the draws that have not started are
-    cancelled.
+    cancelled. A batch whose every draw hit yields the responses of its
+    lookups and does nothing else.
     """
     keys: list[str] = []
     if cache is not None and cache.enabled:
@@ -1263,8 +1268,11 @@ def cached_generate_many(
         ahead[i] = _lookup(cache, key, requests[i])
         if ahead[i] is None:
             missed.add(key)
+    if keys and not missed:  # every draw hit: no twin, nothing to generate
+        yield from ahead
+        return
     pool = None
-    if backend.max_in_flight > 1 and (missed or not keys) and requests:  # any miss
+    if backend.max_in_flight > 1 and requests:  # any miss
         pool = backend.executor()
         for i, found in enumerate(ahead):
             if found is None:

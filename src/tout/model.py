@@ -309,11 +309,21 @@ class RunRecord:
         )
 
 
+def _word_labels(value_map: Mapping[str, float]) -> dict[str, float]:
+    """The value_map entries a text can hold as a label: a label is a whole
+    run of a-z letters, so a key with any other character never matches."""
+    return {
+        label: value
+        for label, value in value_map.items()
+        if re.fullmatch("[a-z]+", label)
+    }
+
+
 def _last_label_pattern(labels: Iterable[str]) -> re.Pattern[str]:
     """A pattern whose first match in a reversed, lowercased text is the
-    text's last label, spelled backwards. A label is a whole run of a-z
-    letters, so a key with any other character never matches."""
-    words = [label[::-1] for label in labels if re.fullmatch("[a-z]+", label)]
+    text's last label (of ``labels``, runs of a-z letters), spelled
+    backwards."""
+    words = [label[::-1] for label in labels]
     return re.compile(f"(?<![a-z])(?:{'|'.join(words) or '(?!)'})(?![a-z])")
 
 
@@ -332,11 +342,13 @@ class TaskSpec:
     min_value: float = 0.001
     # the evaluator's value labels (ToT's sure/likely/impossible) and their values
     value_map: Mapping[str, float] = MappingProxyType({})
-    _last_label = _last_label_pattern(value_map)
+    _labels = _word_labels(value_map)
+    _last_label = _last_label_pattern(_labels)
 
     def __init_subclass__(cls, **kwargs: Any):
         super().__init_subclass__(**kwargs)
-        cls._last_label = _last_label_pattern(cls.value_map)
+        cls._labels = _word_labels(cls.value_map)
+        cls._last_label = _last_label_pattern(cls._labels)
 
     def propose_prompt(self, state: State, k: int) -> str:
         raise NotImplementedError
@@ -351,10 +363,18 @@ class TaskSpec:
         """The value of the last value_map label in the text, in any case,
         or min_value when it has none.
 
-        The reversed text is searched, so the scan stops at the last label
-        rather than splitting the whole text into words. The labels are
-        read from the class's value_map when the class is created.
+        A label is a whole run of a-z letters. Value prompts ask for the
+        label alone on the last line, so the last line that is not blank
+        is read first: when, stripped and lowercased, it is exactly a
+        label, that label is the text's last. Otherwise the reversed text
+        is searched, so the scan stops at the last label anywhere in the
+        text rather than splitting the whole text into words. The labels
+        are read from the class's value_map when the class is created.
         """
+        tail = text.rstrip()
+        value = self._labels.get(tail[tail.rfind("\n") + 1 :].lstrip().lower())
+        if value is not None:
+            return value
         match = self._last_label.search(text.lower()[::-1])
         return self.value_map[match[0][::-1]] if match else self.min_value
 

@@ -35,7 +35,10 @@ def temperature_schedule(m: int, t_min: float, t_max: float) -> list[float]:
     """m temperatures linearly spaced from t_min to t_max inclusive.
 
     A single sample is drawn at t_min: with no spread to estimate there is
-    no reason to pay the noise of a hot generation.
+    no reason to pay the noise of a hot generation. The last point is
+    t_max itself: ``t_min + (m - 1) * step`` can round past it, which
+    BackendRequest rejects when t_max is the largest temperature it
+    accepts. The points before it stay below t_max by about a step.
     """
     if m < 1:
         raise InvalidArgumentError("m must be >= 1")
@@ -44,7 +47,9 @@ def temperature_schedule(m: int, t_min: float, t_max: float) -> list[float]:
     if m == 1:
         return [t_min]
     step = (t_max - t_min) / (m - 1)
-    return [t_min + i * step for i in range(m)]
+    schedule = [t_min + i * step for i in range(m)]
+    schedule[-1] = t_max
+    return schedule
 
 
 def aggregate_value(samples: Sequence[float]) -> float:

@@ -658,9 +658,11 @@ class TestHttpBackend:
 
     @pytest.mark.parametrize("setting, value", [
         ("max_retries", -1), ("max_retries", 1.0), ("max_retries", None),
+        ("max_retries", True),
         ("backoff_s", -0.5), ("backoff_s", float("nan")), ("backoff_s", float("inf")),
+        ("backoff_s", True),
         ("timeout_s", 0), ("timeout_s", -1.0), ("timeout_s", float("nan")),
-        ("timeout_s", float("inf")), ("timeout_s", "60"),
+        ("timeout_s", float("inf")), ("timeout_s", "60"), ("timeout_s", True),
         ("max_in_flight", 0), ("max_in_flight", 2.5), ("max_in_flight", True),
         ("max_in_flight", "4"), ("max_in_flight", None),
     ])

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import fields
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tout.model import (
     RECORD_EVENT_KINDS,
@@ -232,6 +233,34 @@ LABEL_TEXTS = st.lists(
 ).flatmap(lambda words: st.sampled_from([" ", "\n", ""]).map(lambda sep: sep.join(words)))
 
 
+# Words, lines and text around them: labels in mixed case and inside
+# longer words, non-ASCII letters (some lowercase to more characters or to
+# a-z), and every kind of line end and blank.
+LINED_TEXTS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.sampled_from(["sure", "likely", "maybe", "impossible", "SURE", "Likely",
+                             "imPossible", "unsure", "surely", "likelyhood", "sure.",
+                             "\u0130mpossible", "li\u212aely", "s\u00fbre", "\u017fure",
+                             "\u00e9tait", "\u03a3"]),
+            st.text(max_size=8),
+        ),
+        st.sampled_from(["", " ", "\n", "\r", "\r\n", "\n\n", " \n ", "\t",
+                         "\u2028", "\x85", ".", ":\n", "-"]),
+    ),
+    max_size=6,
+).map(lambda parts: "".join(word + sep for word, sep in parts))
+
+
+def reversed_scan_value(task, text):
+    """The scan parse_value falls back to, applied to the whole text: the
+    first match of the reversed labels in the reversed, lowercased text."""
+    words = [label[::-1] for label in task.value_map if re.fullmatch("[a-z]+", label)]
+    pattern = f"(?<![a-z])(?:{'|'.join(words) or '(?!)'})(?![a-z])"
+    match = re.search(pattern, text.lower()[::-1])
+    return task.value_map[match[0][::-1]] if match else task.min_value
+
+
 def reference_label_value(task, text):
     """The last value_map label in the text, scanned one character at a time."""
     value, word = task.min_value, ""
@@ -295,6 +324,23 @@ class TestParseValue:
         for task_name, text in texts:
             task = SHARED_TASKS[task_name]
             assert task.parse_value(text) == reference_label_value(task, text)
+
+    @pytest.mark.parametrize("task_name", ["game24", "crosswords"])
+    @given(text=LINED_TEXTS)
+    @example(text="\u017fure")  # casefolds, but does not lowercase, to "sure"
+    @example(text="Sure at first,\r\nthen impossible \n\n")
+    def test_the_last_line_read_agrees_with_the_reversed_scan(self, task_name, text):
+        task = SHARED_TASKS[task_name]
+        assert task.parse_value(text) == reversed_scan_value(task, text)
+
+    @pytest.mark.parametrize("task_name", ["game24", "crosswords"])
+    def test_value_prompts_ask_for_the_label_on_the_last_line(self, task_name):
+        # parse_value reads the last line first; a prompt that put the
+        # label elsewhere would make that read pure overhead
+        task = make_task(task_name)
+        prompt = task.value_prompt(StateStore().root("4 5 6 10"))
+        *rest, last = task.value_map
+        assert f"one word on the last line: {', '.join(rest)}, or {last}." in prompt
 
 
 def test_search_exhausted_error_carries_state():

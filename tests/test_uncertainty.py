@@ -175,6 +175,33 @@ def test_schedule_shape(m):
         assert abs(sched[-1] - 1.0) <= EXACT
 
 
+def test_schedule_stays_within_its_bounds_and_ends_at_t_max():
+    # temperature_schedule(8, 0.2, 2.0) once ended at 2.0000000000000004
+    for t_min in (0.0, 0.1, 0.2, 0.3, 0.7, 1.0):
+        for t_max in (0.5, 1.0, 1.5, 1.9, 2.0):
+            if t_min > t_max:
+                continue
+            for m in range(1, 65):
+                sched = temperature_schedule(m, t_min, t_max)
+                assert len(sched) == m and sched[0] == t_min
+                assert all(t_min <= t <= t_max for t in sched), (m, t_min, t_max)
+                if m > 1:
+                    assert sched[-1] == t_max
+                    # a schedule the plain formula kept within bounds, ending
+                    # at t_max, keeps its bits
+                    step = (t_max - t_min) / (m - 1)
+                    plain = [t_min + i * step for i in range(m)]
+                    if plain[-1] == t_max:
+                        assert sched == plain
+
+
+def test_an_episode_at_the_largest_temperature_records_no_error():
+    task, problems, backend_for = synthetic_setup(build_trap_benchmark(), episodes=2)
+    report = run_benchmark(task, problems, "tout_bfs", backend_for,
+                           SearchConfig(m=8, t_max=2.0))
+    assert [r.record.verdicts.get("error") for r in report.results] == [None, None]
+
+
 def _scored(config, texts, task_name="game24", problem="4 5 6 10"):
     """Evaluate one state against a scripted backend returning texts."""
     task = make_task(task_name)
