@@ -11,10 +11,9 @@ from .backends import (
     BackendRequest,
     BackendResponse,
     HttpBackend,
-    ResponseCache,
-    cached_generate,
     generate,
 )
+from .calls import ResponseCache, cached_generate
 from .model import (
     BackendUnavailableError,
     InvalidArgumentError,

@@ -18,12 +18,8 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from .backends import (
-    Backend,
-    HttpBackend,
-    ResponseCache,
-    ScriptedBackend,
-)
+from .backends import Backend, HttpBackend, ScriptedBackend
+from .calls import ResponseCache
 from .harness import (
     RunAbortedError,
     default_run_id,

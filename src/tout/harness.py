@@ -27,7 +27,8 @@ from pathlib import Path
 from statistics import NormalDist
 from typing import Callable, Optional, Sequence
 
-from .backends import Backend, ResponseCache
+from .backends import Backend
+from .calls import ResponseCache
 from .model import (
     BackendUnavailableError,
     InvalidArgumentError,

@@ -11,23 +11,19 @@ Two strategies share one expansion/evaluation core:
 Running either with luq_enabled=False and ugs_enabled=False is exactly
 the plain value-guided baseline (tot_bfs/tot_dfs): same code path, same
 transcript shape.
+
+An episode builds one Calls (tout.calls) from its backend, cache and
+transcript; every request it makes, and every event, goes through it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .backends import (
-    Backend,
-    BackendRequest,
-    ResponseCache,
-    cached_generate,
-    cached_generate_many,
-)
+from .backends import Backend, BackendRequest
+from .calls import Calls, ResponseCache
 from .model import (
     InvalidArgumentError,
     ScoredState,
@@ -39,7 +35,7 @@ from .model import (
     Transcript,
     extend_state,
 )
-from .uncertainty import evaluate_state, value_draws
+from .uncertainty import evaluate_states
 
 METHODS = ("io", "cot", "cot_sc", "tot_bfs", "tot_dfs", "tout_bfs", "tout_dfs")
 
@@ -69,71 +65,21 @@ class SearchResult:
 
 
 def propose_thoughts(
-    task: TaskSpec,
-    state: State,
-    backend: Backend,
-    config: SearchConfig,
-    transcript: Optional[Transcript] = None,
-    cache: Optional[ResponseCache] = None,
+    task: TaskSpec, state: State, config: SearchConfig, calls: Calls
 ) -> list[str]:
     """One generator call yielding up to k candidate next thoughts."""
     prompt = task.propose_prompt(state, config.k)
     request = BackendRequest(prompt=prompt, temperature=config.t_max, n=1)
-    response = cached_generate(cache, backend, request, transcript=transcript)
+    response = calls.one(request)
     thoughts = task.parse_proposals(state, response.completions[0], config.k)
     # drop exact duplicates, first occurrence wins
     thoughts = list(dict.fromkeys(thoughts))[: config.k]
-    if transcript is not None:
-        transcript.emit("expand", state_id=state.id, thoughts=list(thoughts))
+    calls.transcript.emit("expand", state_id=state.id, thoughts=list(thoughts))
     return thoughts
 
 
-def _evaluate_states(
-    task: TaskSpec,
-    states: list[State],
-    backend: Backend,
-    config: SearchConfig,
-    transcript: Optional[Transcript],
-    cache: Optional[ResponseCache],
-) -> list[ScoredState]:
-    """Evaluate several states; the transcript is the same however it runs.
-
-    The value draws of all the states form one cached_generate_many batch,
-    which the first state's sample_values submits; each state then takes
-    its own responses from the shared stream in order, as they complete.
-    On a backend wider than one request the draws are in flight together;
-    on a narrower one they are made one after another. Closing the stream
-    cancels the draws not yet started when a state fails. A narrow backend
-    with config.eval_workers above 1 instead evaluates the states on a
-    pool whose per-state transcript buffers are replayed in state order.
-    """
-    if backend.max_in_flight <= 1 and config.eval_workers > 1 and len(states) > 1:
-        buffers = [Transcript() for _ in states]
-        with ThreadPoolExecutor(max_workers=config.eval_workers) as pool:
-            futures = [
-                pool.submit(evaluate_state, task, s, backend, config, buf, cache)
-                for s, buf in zip(states, buffers)
-            ]
-            results = [f.result() for f in futures]
-        if transcript is not None:
-            for buf in buffers:
-                transcript.events.extend(buf.events)
-        return results
-    draws = [d for s in states for d in value_draws(task, s, config)]
-    with closing(cached_generate_many(cache, backend, draws, transcript)) as responses:
-        return [
-            evaluate_state(task, s, backend, config, transcript, cache, responses)
-            for s in states
-        ]
-
-
 def finalize_output(
-    task: TaskSpec,
-    state: State,
-    backend: Backend,
-    config: SearchConfig,
-    transcript: Optional[Transcript] = None,
-    cache: Optional[ResponseCache] = None,
+    task: TaskSpec, state: State, config: SearchConfig, calls: Calls
 ) -> str:
     """Produce the answer text for a finished state.
 
@@ -144,8 +90,7 @@ def finalize_output(
     if prompt is None:
         return task.render_output(state)
     request = BackendRequest(prompt=prompt, temperature=0.0, n=1)
-    response = cached_generate(cache, backend, request, transcript=transcript)
-    return task.parse_final(response.completions[0])
+    return task.parse_final(calls.one(request).completions[0])
 
 
 def _rank(candidates: list[ScoredState]) -> list[ScoredState]:
@@ -169,8 +114,8 @@ def tout_bfs(
     The answer comes from the best-scoring state in the final frontier.
     """
     config.validate()
-    if transcript is None:
-        transcript = Transcript()
+    calls = Calls(backend, cache, transcript)
+    transcript = calls.transcript
     store = StateStore()
     root = store.root(problem_input)
     frontier: list[State] = [root]
@@ -184,11 +129,9 @@ def tout_bfs(
             break
         children: list[State] = []
         for parent in live:
-            for thought in propose_thoughts(
-                task, parent, backend, config, transcript, cache
-            ):
+            for thought in propose_thoughts(task, parent, config, calls):
                 children.append(extend_state(store, parent, thought))
-        fresh = _evaluate_states(task, children, backend, config, transcript, cache)
+        fresh = evaluate_states(task, children, config, calls)
         for ss in fresh:
             scored[ss.state.id] = ss
         candidates = [scored[s.id] for s in carried if s.id in scored] + fresh
@@ -196,7 +139,9 @@ def tout_bfs(
             raise SearchExhaustedError(
                 f"no candidates at step {step}: every frontier state "
                 "proposed nothing",
-                best_state=_best_partial(root, scored),
+                best_state=_best_frontier_state(
+                    [ss.state for ss in scored.values()] or [root], scored
+                )[1],
             )
         ranked = _rank(candidates)
         keep = ranked[: config.b]
@@ -210,7 +155,7 @@ def tout_bfs(
         frontier = [ss.state for ss in keep]
 
     best_scored, best = _best_frontier_state(frontier, scored)
-    output = finalize_output(task, best, backend, config, transcript, cache)
+    output = finalize_output(task, best, config, calls)
     transcript.emit("final", state_id=best.id, output=output)
     score = best_scored.score if best_scored is not None else 0.0
     return SearchResult(
@@ -221,13 +166,6 @@ def tout_bfs(
         transcript=transcript,
         scored=scored,
     )
-
-
-def _best_partial(root: State, scored: dict[int, ScoredState]) -> State:
-    """Furthest the search usefully got: top-scoring evaluated state."""
-    if not scored:
-        return root
-    return max(scored.values(), key=lambda ss: (ss.score, -ss.state.id)).state
 
 
 def _best_frontier_state(
@@ -263,8 +201,8 @@ def tout_dfs(
     state the recursion reached.
     """
     config.validate()
-    if transcript is None:
-        transcript = Transcript()
+    calls = Calls(backend, cache, transcript)
+    transcript = calls.transcript
     store = StateStore()
     root = store.root(problem_input)
     scored: dict[int, ScoredState] = {}
@@ -274,7 +212,7 @@ def tout_dfs(
     def visit(state: State) -> bool:
         reached.append(state)
         if state.depth >= config.T or task.is_terminal(state):
-            out = finalize_output(task, state, backend, config, transcript, cache)
+            out = finalize_output(task, state, config, calls)
             ss = scored.get(state.id)
             score = ss.score if ss is not None else 0.0
             recorded.append((state, out, score))
@@ -282,9 +220,9 @@ def tout_dfs(
                 "record_output", state_id=state.id, output=out, score=score
             )
             return len(recorded) >= config.max_outputs
-        thoughts = propose_thoughts(task, state, backend, config, transcript, cache)
+        thoughts = propose_thoughts(task, state, config, calls)
         children = [extend_state(store, state, t) for t in thoughts]
-        fresh = _evaluate_states(task, children, backend, config, transcript, cache)
+        fresh = evaluate_states(task, children, config, calls)
         for ss in fresh:
             scored[ss.state.id] = ss
         for ss in _rank(fresh):
@@ -329,23 +267,17 @@ def tout_dfs(
 
 
 def _run_baseline(
-    task: TaskSpec,
-    prompt: str,
-    backend: Backend,
-    config: SearchConfig,
-    transcript: Optional[Transcript],
-    cache: Optional[ResponseCache],
-    vote: bool,
+    task: TaskSpec, prompt: str, config: SearchConfig, calls: Calls, vote: bool
 ) -> SearchResult:
     """The answer to a baseline prompt sampled at t_max. Each completion is
     cut to its final answer line, or to its stripped text when it has none.
     Without a vote one completion is the answer, a direct one (io) or a
-    chain of thought (cot); with one, m chains are voted (see run_cot_sc)."""
-    if transcript is None:
-        transcript = Transcript()
+    chain of thought (cot). With one (cot_sc, self-consistency), m chains
+    are voted by canonicalized final answer: ties go to the answer whose
+    first occurrence is earliest, and the output is that completion's raw
+    answer text."""
     n = config.m if vote else 1
-    request = BackendRequest(prompt=prompt, temperature=config.t_max, n=n)
-    response = cached_generate(cache, backend, request, transcript=transcript)
+    response = calls.one(BackendRequest(prompt=prompt, temperature=config.t_max, n=n))
     answers: list[str] = []
     for text in response.completions:
         answer = task.extract_final_answer(text)
@@ -356,33 +288,16 @@ def _run_baseline(
         counts = Counter(canonical)
         top = max(counts.values())
         winner = next(i for i, c in enumerate(canonical) if counts[c] == top)
-        transcript.emit("note", votes=canonical, winner=winner)
+        calls.transcript.emit("note", votes=canonical, winner=winner)
     output = answers[winner]
-    transcript.emit("final", output=output)
+    calls.transcript.emit("final", output=output)
     return SearchResult(
         final_output=output,
         best_state=None,
         recorded_outputs=[(output, 0.0)],
         store=None,
-        transcript=transcript,
+        transcript=calls.transcript,
     )
-
-
-def run_cot_sc(
-    task: TaskSpec,
-    problem_input: str,
-    backend: Backend,
-    config: SearchConfig,
-    transcript: Optional[Transcript] = None,
-    cache: Optional[ResponseCache] = None,
-) -> SearchResult:
-    """Self-consistency: m chains voted by canonicalized final answer.
-
-    Ties go to the answer whose first occurrence is earliest; the emitted
-    output is that completion's raw answer text.
-    """
-    prompt = task.cot_prompt(problem_input)
-    return _run_baseline(task, prompt, backend, config, transcript, cache, vote=True)
 
 
 def check_method(method: str) -> None:
@@ -403,13 +318,10 @@ def run_method(
 ) -> SearchResult:
     """Dispatch one episode by method name (see METHODS)."""
     check_method(method)
-    if method in ("io", "cot"):
+    if method in ("io", "cot", "cot_sc"):
         prompt = (task.io_prompt if method == "io" else task.cot_prompt)(problem_input)
-        return _run_baseline(
-            task, prompt, backend, config, transcript, cache, vote=False
-        )
-    if method == "cot_sc":
-        return run_cot_sc(task, problem_input, backend, config, transcript, cache)
+        calls = Calls(backend, cache, transcript)
+        return _run_baseline(task, prompt, config, calls, vote=method == "cot_sc")
     if method.startswith("tot_"):
         config = replace(config, luq_enabled=False, ugs_enabled=False)
     if method.endswith("_bfs"):

@@ -6,21 +6,21 @@ variance is its local uncertainty u, and selection uses the confidence
 score v / (u + epsilon). Switching LUQ off collapses the procedure to a
 single sample at the top temperature with u = 0; switching guidance off
 keeps u but scores by value alone.
+
+evaluate_states is the one way the search scores states: it issues the
+value draws of all its states as one batch through the episode's Calls
+and hands each state's evaluate_state that batch's response stream.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
+from typing import Iterator, Sequence
 
-from .backends import (
-    DEFAULT_MAX_TOKENS,
-    Backend,
-    BackendRequest,
-    BackendResponse,
-    ResponseCache,
-    cached_generate_many,
-)
+from .backends import DEFAULT_MAX_TOKENS, BackendRequest, BackendResponse
+from .calls import Calls
 from .model import (
     InvalidArgumentError,
     ScoredState,
@@ -110,7 +110,7 @@ def sample_values(
     state: State,
     schedule: Sequence[float],
     responses: Iterator[BackendResponse],
-    transcript: Optional[Transcript] = None,
+    transcript: Transcript,
 ) -> list[float]:
     """Parse the next len(schedule) responses of a stream issued for the
     state's value draws (see value_draws), one per scheduled temperature."""
@@ -119,26 +119,23 @@ def sample_values(
         completion = next(responses).completions[0]
         value = task.parse_value(completion)
         values.append(value)
-        if transcript is not None:
-            transcript.emit(
-                "sample",
-                state_id=state.id,
-                index=i,
-                temperature=temp,
-                completion=completion,
-                value=value,
-            )
+        transcript.emit(
+            "sample",
+            state_id=state.id,
+            index=i,
+            temperature=temp,
+            completion=completion,
+            value=value,
+        )
     return values
 
 
 def evaluate_state(
     task: TaskSpec,
     state: State,
-    backend: Backend,
     config: SearchConfig,
-    transcript: Optional[Transcript] = None,
-    cache: Optional[ResponseCache] = None,
-    responses: Optional[Iterator[BackendResponse]] = None,
+    calls: Calls,
+    responses: Iterator[BackendResponse],
 ) -> ScoredState:
     """Produce the (value, uncertainty, score) triple that drives search.
 
@@ -146,22 +143,11 @@ def evaluate_state(
     (their variance). With LUQ off, one draw at t_max stands in for the
     value and the uncertainty is pinned to zero. With guidance off, the
     score is the bare value rather than the confidence ratio.
-    ``responses``, when given, is a stream issued for
-    value_draws(task, state, config), possibly as part of a larger batch;
-    otherwise the state's draws go out as a cached_generate_many batch of
-    their own, independent requests that a backend wider than one request
-    has in flight together.
+    ``responses`` is a stream issued for value_draws(task, state, config),
+    possibly as part of a larger batch (see evaluate_states).
     """
     schedule = _schedule(config)
-    stream = responses
-    if stream is None:
-        draws = value_draws(task, state, config)
-        stream = cached_generate_many(cache, backend, draws, transcript)
-    try:
-        samples = sample_values(task, state, schedule, stream, transcript)
-    finally:
-        if responses is None:
-            stream.close()
+    samples = sample_values(task, state, schedule, responses, calls.transcript)
     if config.luq_enabled:
         value, uncertainty = aggregate_value(samples), variance(samples)
     else:
@@ -172,18 +158,17 @@ def evaluate_state(
     else:
         score = value
 
-    if transcript is not None:
-        # path makes evaluated states reconstructable from the record alone
-        transcript.emit(
-            "evaluate",
-            state_id=state.id,
-            path=list(state.thoughts),
-            value=value,
-            uncertainty=uncertainty,
-            score=score,
-            samples=samples,
-            temperatures=schedule,
-        )
+    # path makes evaluated states reconstructable from the record alone
+    calls.transcript.emit(
+        "evaluate",
+        state_id=state.id,
+        path=list(state.thoughts),
+        value=value,
+        uncertainty=uncertainty,
+        score=score,
+        samples=samples,
+        temperatures=schedule,
+    )
     return ScoredState(
         state=state,
         value=value,
@@ -192,3 +177,44 @@ def evaluate_state(
         samples=tuple(samples),
         temperatures=tuple(schedule),
     )
+
+
+def evaluate_states(
+    task: TaskSpec, states: list[State], config: SearchConfig, calls: Calls
+) -> list[ScoredState]:
+    """Evaluate several states; the transcript is the same however it runs.
+
+    The value draws of all the states form one Calls.many batch, which the
+    first state's sample_values submits; each state then takes its own
+    responses from the shared stream in order, as they complete. On a
+    backend wider than one request the draws are in flight together; on a
+    narrower one they are made one after another. Closing the stream
+    cancels the draws not yet started when a state fails.
+
+    A narrow backend with config.eval_workers above 1 instead evaluates
+    each state on a pool, with Calls of its own whose transcript is
+    replayed in state order. A state that fails is replayed too, then its
+    error is raised, and the states that have not started are cancelled:
+    the transcript ends as it would at one worker.
+    """
+    if calls.backend.max_in_flight <= 1 and config.eval_workers > 1 and len(states) > 1:
+        own = [Calls(calls.backend, calls.cache) for _ in states]
+        results: list[ScoredState] = []
+        with ThreadPoolExecutor(max_workers=config.eval_workers) as pool:
+            futures = [
+                pool.submit(evaluate_states, task, [s], config, c)
+                for s, c in zip(states, own)
+            ]
+            try:
+                for future, c in zip(futures, own):
+                    try:
+                        results.extend(future.result())
+                    finally:
+                        calls.transcript.events.extend(c.transcript.events)
+            finally:
+                for future in futures:
+                    future.cancel()
+        return results
+    draws = [d for s in states for d in value_draws(task, s, config)]
+    with closing(calls.many(draws)) as responses:
+        return [evaluate_state(task, s, config, calls, responses) for s in states]

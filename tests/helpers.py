@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from tout.backends import LOG_NAME, ScriptedBackend
+from tout.backends import ScriptedBackend
+from tout.calls import LOG_NAME
 from tout.model import SearchConfig, State, TaskSpec
 from tout.uncertainty import temperature_schedule
 

@@ -42,19 +42,21 @@ from tout.backends import (
     Backend,
     BackendRequest,
     BackendResponse,
-    LOG_NAME,
     HttpBackend,
-    ResponseCache,
     ScriptedBackend,
     SyntheticOracleBackend,
-    _decode_entry,
     body_to_request,
-    cached_generate,
-    cached_generate_many,
     generate,
     prompt_digest,
     quantize_temperature,
     request_to_body,
+)
+from tout.calls import (
+    LOG_NAME,
+    ResponseCache,
+    _decode_entry,
+    cached_generate,
+    cached_generate_many,
 )
 from tout.harness import Problem, run_benchmark, synthetic_setup
 from tout.model import (
@@ -1267,9 +1269,9 @@ _FOOTPRINT_SCRIPT = """
 import sys
 import tout, tout.cli
 from tout.backends import (
-    BackendRequest, HttpBackend, ResponseCache, ScriptedBackend,
-    SyntheticOracleBackend,
+    BackendRequest, HttpBackend, ScriptedBackend, SyntheticOracleBackend,
 )
+from tout.calls import ResponseCache
 HttpBackend(base_url="http://127.0.0.1:9", model="m").close()
 ScriptedBackend({})
 ResponseCache(sys.argv[1])
@@ -1455,7 +1457,7 @@ class TestResponseCache:
         # a log line one byte shorter than, as long as, and one byte longer
         # than one read of the scan, with another entry after it; the scan's
         # read size is made small so the lines stay small
-        monkeypatch.setattr("tout.backends._SCAN_CHUNK", 1 << 16)
+        monkeypatch.setattr("tout.calls._SCAN_CHUNK", 1 << 16)
         cache = ResponseCache(tmp_path)
         key = ResponseCache.cache_key("b1", BackendRequest(prompt="p", temperature=0.5))
         # the line around a completion: key, space, JSON, newline
@@ -1598,7 +1600,7 @@ class TestResponseCache:
             log.write(key, damaged)
             cache = ResponseCache(tmp_path)  # a fresh cache reads the last line
             caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="tout.backends"):
+            with caplog.at_level(logging.WARNING, logger="tout.calls"):
                 response = cached_generate(cache, backend, request)
             assert response.completions == ("x",)
             assert backend.calls == calls
@@ -1609,7 +1611,7 @@ class TestResponseCache:
         cache = ResponseCache(tmp_path)
         key = ResponseCache.cache_key("b1", BackendRequest(prompt="p", temperature=0.5))
         (tmp_path / LOG_NAME).mkdir()  # at the log's path
-        with caplog.at_level(logging.WARNING, logger="tout.backends"):
+        with caplog.at_level(logging.WARNING, logger="tout.calls"):
             assert cache.get(key) is None
             assert "cache read failed" in caplog.text
             cache.put(key, BackendResponse(completions=("a",)))
@@ -1618,7 +1620,7 @@ class TestResponseCache:
 
     def test_missing_entry_is_a_silent_miss(self, tmp_path, caplog):
         cache = ResponseCache(tmp_path)
-        with caplog.at_level(logging.WARNING, logger="tout.backends"):
+        with caplog.at_level(logging.WARNING, logger="tout.calls"):
             assert cache.get("0" * 64) is None
         assert caplog.text == ""
 
@@ -1655,7 +1657,7 @@ class TestResponseCache:
         cache = ResponseCache(tmp_path)
         key = "0" * 64
         CacheLog(tmp_path).write(key, text)
-        with caplog.at_level(logging.WARNING, logger="tout.backends"):
+        with caplog.at_level(logging.WARNING, logger="tout.calls"):
             got = cache.get(key)
         assert got == (BackendResponse(completions=("a",)) if hit else None)
         assert ("damaged cache entry" in caplog.text) is not hit
@@ -1773,8 +1775,8 @@ class TestResponseCache:
 
         for broken in (failing, short):
             caplog.clear()
-            with mock.patch("tout.backends.os.write", broken), caplog.at_level(
-                logging.WARNING, logger="tout.backends"
+            with mock.patch("tout.calls.os.write", broken), caplog.at_level(
+                logging.WARNING, logger="tout.calls"
             ):
                 cache.put(key, BackendResponse(completions=("new",)))
             assert "cache write failed" in caplog.text
@@ -1848,7 +1850,8 @@ def _writer_entry(writer, i):
 # argv: the cache directory, the writer's number, its number of puts
 _WRITER_SCRIPT = """
 import hashlib, sys
-from tout.backends import BackendResponse, ResponseCache
+from tout.backends import BackendResponse
+from tout.calls import ResponseCache
 """ + inspect.getsource(_writer_entry) + """
 cache = ResponseCache(sys.argv[1])
 writer, puts = int(sys.argv[2]), int(sys.argv[3])
@@ -1921,7 +1924,7 @@ class TestResponseLog:
                         i, key, text, cut = rest
                         line = _log_line(key, text)
                         cut = min(cut, len(line))
-                        with mock.patch("tout.backends.os.write",
+                        with mock.patch("tout.calls.os.write",
                                         lambda fd, data: write(fd, data[:-cut])):
                             caches[i].put(key, BackendResponse(completions=(text,)))
                         seen[i] = len(lines)  # scanned before the write
@@ -1956,7 +1959,7 @@ class TestResponseLog:
         fresh = ResponseCache(tmp_path)
         assert fresh.get(_LOG_KEYS[0]) == a
         assert fresh.get(_LOG_KEYS[2]) == cache.get(_LOG_KEYS[2]) == b
-        with caplog.at_level(logging.WARNING, logger="tout.backends"):
+        with caplog.at_level(logging.WARNING, logger="tout.calls"):
             assert fresh.get(_LOG_KEYS[1]) is None  # its last line is the torn one
             assert cache.get(_LOG_KEYS[1]) is None  # the put that ended it agrees
         assert caplog.text.count("damaged cache entry") == 2
@@ -1969,7 +1972,7 @@ class TestResponseLog:
         (tmp_path / LOG_NAME).write_bytes(
             _log_line(_LOG_KEYS[0], "a") + _log_line(_LOG_KEYS[2], "b")
         )
-        with caplog.at_level(logging.WARNING, logger="tout.backends"):
+        with caplog.at_level(logging.WARNING, logger="tout.calls"):
             assert cache.get(_LOG_KEYS[1]) is None
         assert "does not start with its key" in caplog.text
         # cut shorter than what was indexed, the log is indexed anew on a miss
@@ -1988,7 +1991,7 @@ class TestResponseLog:
                 log.write(_log_line(_LOG_KEYS[1], "theirs"))
             return write(fd, data)
 
-        with mock.patch("tout.backends.os.write", after_another_writer):
+        with mock.patch("tout.calls.os.write", after_another_writer):
             cache.put(_LOG_KEYS[2], BackendResponse(completions=("b",)))
         assert cache.get(_LOG_KEYS[1]) == BackendResponse(completions=("theirs",))
         assert cache.get(_LOG_KEYS[2]) == BackendResponse(completions=("b",))
@@ -2046,7 +2049,7 @@ class TestResponseLog:
 
     def test_old_layout_is_named_once_and_not_read(self, tmp_path, caplog):
         (tmp_path / f"{_LOG_KEYS[0]}.json").write_text('{"completions": ["a"]}')
-        with caplog.at_level(logging.WARNING, logger="tout.backends"):
+        with caplog.at_level(logging.WARNING, logger="tout.calls"):
             cache = ResponseCache(tmp_path)
             assert cache.get(_LOG_KEYS[0]) is None
         assert caplog.text.count("old one-file-per-key layout") == 1
@@ -2060,8 +2063,8 @@ class TestResponseLog:
                 raise PermissionError(13, "Permission denied", path)
             return real_open(path, flags, *mode)
 
-        with mock.patch("tout.backends.os.open", read_only), caplog.at_level(
-            logging.WARNING, logger="tout.backends"
+        with mock.patch("tout.calls.os.open", read_only), caplog.at_level(
+            logging.WARNING, logger="tout.calls"
         ):
             cache = ResponseCache(tmp_path)
             assert cache.get(_LOG_KEYS[0]) == BackendResponse(completions=("a",))
@@ -2118,7 +2121,7 @@ def _one_batch(draws, width, warm, writable):
         transcript = Transcript()
         write = os.write if writable else unwritable
         try:
-            with mock.patch("tout.backends.os.write", write):
+            with mock.patch("tout.calls.os.write", write):
                 served = list(cached_generate_many(cache, backend, draws, transcript))
         finally:
             backend.close()
@@ -2199,7 +2202,7 @@ class TestWrongShapeEntries:
         request = BackendRequest(prompt="p", temperature=0.5)
         key = ResponseCache.cache_key(backend.backend_id, request)
         CacheLog(tmp_path).write(key, json.dumps(entry))
-        with caplog.at_level(logging.WARNING, logger="tout.backends"):
+        with caplog.at_level(logging.WARNING, logger="tout.calls"):
             response = cached_generate(cache, backend, request)
         assert response.completions == ("x",)
         assert backend.calls == 1
@@ -2214,7 +2217,7 @@ class TestWrongShapeEntries:
         keys = [ResponseCache.cache_key(backend.backend_id, request) for request in draws]
         CacheLog(tmp_path).write(keys[1], json.dumps(entry))
         try:
-            with caplog.at_level(logging.WARNING, logger="tout.backends"):
+            with caplog.at_level(logging.WARNING, logger="tout.calls"):
                 responses = list(cached_generate_many(cache, backend, draws))
         finally:
             backend.close()

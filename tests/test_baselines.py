@@ -12,7 +12,6 @@ from dataclasses import replace
 import pytest
 
 from tout import InvalidArgumentError, SearchConfig, Transcript, run_method
-from tout.search import run_cot_sc
 from tout.tasks import make_task
 from tout.tasks.synthetic import SyntheticTreeTask
 
@@ -76,7 +75,7 @@ class TestCoTSC:
         config = SearchConfig(m=len(chains) if m is None else m)
         script = EpisodeScript(task=task, config=config)
         script.cot("4 9 10 13", chains)
-        return run_cot_sc(task, "4 9 10 13", script.backend(), config)
+        return run_method("cot_sc", task, "4 9 10 13", script.backend(), config)
 
     def test_majority_wins(self):
         result = self._run(
@@ -101,7 +100,7 @@ class TestCoTSC:
         config = SearchConfig(m=1)
         script = EpisodeScript(task=task, config=config)
         script.cot("4 9 10 13", ["Answer: (13-9)*(10-4)"])
-        sc = run_cot_sc(task, "4 9 10 13", script.backend(), config)
+        sc = run_method("cot_sc", task, "4 9 10 13", script.backend(), config)
         cot = run_method("cot", task, "4 9 10 13", script.backend(), config)
         assert sc.final_output == cot.final_output
 

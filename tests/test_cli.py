@@ -21,11 +21,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from helpers import EpisodeScript
-from tout.backends import LOG_NAME, Backend, ResponseCache, SyntheticOracleBackend
+from tout.backends import Backend, SyntheticOracleBackend
+from tout.calls import LOG_NAME, ResponseCache
 from tout.cli import build_parser, build_search_values, load_ini, load_script, main
 from tout.harness import default_run_id
 from tout.model import BackendUnavailableError, InvalidArgumentError, SearchConfig
 from tout.tasks import check_solution, make_task
+from tout.tasks.synthetic import MAX_DEPTH
 
 WORDS = ("HEART", "EMBER", "ABUSE", "RESIN", "TREND")
 
@@ -484,6 +486,11 @@ class TestRunErrors:
     def test_task_required(self, capsys):
         assert main(["run", "--episodes", "1"]) == 2
         assert "--task is required" in capsys.readouterr().err
+
+    def test_synthetic_depth_above_the_bound_is_a_usage_error(self, capsys):
+        argv = ["run", "--task", "synthetic", "--depth", str(MAX_DEPTH + 1)]
+        assert main(argv) == 2
+        assert f"depth must be within [1, {MAX_DEPTH}]" in capsys.readouterr().err
 
     def test_dataset_required_for_game24(self, capsys):
         assert main(["run", "--task", "game24", "--backend", "scripted"]) == 2

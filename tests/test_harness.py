@@ -21,9 +21,9 @@ from tout.backends import (
     Backend,
     BackendRequest,
     BackendResponse,
-    ResponseCache,
     SyntheticOracleBackend,
 )
+from tout.calls import ResponseCache
 from tout.harness import (
     ABLATION_GRID,
     RESULT_COLUMNS,

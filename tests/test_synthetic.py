@@ -15,8 +15,10 @@ import pytest
 
 from tout import SearchConfig, tout_bfs
 from tout.backends import BackendRequest
+from tout.model import InvalidArgumentError
 from tout.tasks.synthetic import (
     GOOD,
+    MAX_DEPTH,
     TRAP,
     TRAP_SIGMA,
     TRAP_VALUE,
@@ -95,6 +97,12 @@ class TestTreeStructure:
     def test_depth_validation(self):
         with pytest.raises(Exception):
             build_trap_benchmark(depth=0)
+
+    def test_depth_above_the_bound_is_rejected_before_building(self):
+        # the tree has 2^(depth+1) - 1 nodes: past the bound, it is refused
+        # before the first one is made
+        with pytest.raises(InvalidArgumentError, match=f"within \\[1, {MAX_DEPTH}\\]"):
+            build_trap_benchmark(depth=MAX_DEPTH + 1)
 
     def test_backend_reproducible_by_seed(self):
         benchmark = build_trap_benchmark(depth=2)

@@ -27,17 +27,17 @@ from tout import (
     Transcript,
     aggregate_value,
     confidence_score,
-    evaluate_state,
     temperature_schedule,
     variance,
 )
-from tout.backends import Backend, BackendResponse, ResponseCache
+from tout.backends import Backend, BackendResponse
+from tout.calls import Calls, ResponseCache
 from tout.harness import run_benchmark, synthetic_setup
 from tout.model import BackendUnavailableError, StateStore
 from tout.search import tout_bfs
 from tout.tasks import Problem, make_task
 from tout.tasks.synthetic import GOOD, TRAP, SyntheticTreeTask, build_trap_benchmark
-from tout.uncertainty import value_draws
+from tout.uncertainty import evaluate_states, value_draws
 
 from helpers import CacheLog, EpisodeScript, make_state, population_variance
 
@@ -209,7 +209,7 @@ def _scored(config, texts, task_name="game24", problem="4 5 6 10"):
     script = EpisodeScript(task=task, config=config)
     script.value(state, texts)
     transcript = Transcript()
-    scored = evaluate_state(task, state, script.backend(), config, transcript)
+    (scored,) = evaluate_states(task, [state], config, Calls(script.backend(), None, transcript))
     return scored, transcript
 
 
@@ -368,7 +368,7 @@ class TestConcurrentDraws:
             transcript = Transcript()
             try:
                 with pytest.raises(BackendUnavailableError):
-                    evaluate_state(task, state, backend, config, transcript, cache)
+                    evaluate_states(task, [state], config, Calls(backend, cache, transcript))
             finally:
                 backend.close()
             outcomes.append((_without_latency(transcript.events),
@@ -420,7 +420,7 @@ class TestConcurrentDraws:
             raise OSError("read-only cache")
 
         if cache_kind == "unwritable":
-            monkeypatch.setattr("tout.backends.os.write", unwritable)
+            monkeypatch.setattr("tout.calls.os.write", unwritable)
         cached = cache_kind is not None
         bench = build_trap_benchmark(depth=1)
         task = _SharedValuePromptTask(max_steps=1)
@@ -478,6 +478,73 @@ class TestConcurrentDraws:
         assert outcomes[0] == outcomes[1]
         draws = 1 if failure == "parse" else 0
         assert [e["event"] for e in outcomes[0][0]] == ["generate", "expand"] + ["generate"] * draws
+
+
+class _FailingDrawBackend(Backend):
+    """The trap tree's oracle, raising BackendUnavailableError on one draw.
+
+    The draws of the prompts in ``held`` wait until ``release()`` is true,
+    for at most 10 s. ``prompts`` lists the prompt of every call.
+    """
+
+    def __init__(self, bench, prompt, index, held=(), release=lambda: True):
+        self.oracle = bench.backend(0)
+        self.backend_id = self.oracle.backend_id
+        self.fail = (prompt, index)
+        self.held, self.release = held, release
+        self.prompts = []
+
+    def generate(self, request):
+        self.prompts.append(request.prompt)
+        if (request.prompt, request.index) == self.fail:
+            raise BackendUnavailableError("injected outage", last_status=503)
+        if request.prompt in self.held:
+            deadline = time.monotonic() + 10.0
+            while not self.release() and time.monotonic() < deadline:
+                time.sleep(0.001)
+        return self.oracle.generate(request)
+
+
+class TestEvalWorkers:
+    """States evaluated on a pool (eval_workers above 1 on a backend one
+    request wide) leave the transcript of one worker, a failure included."""
+
+    def test_failed_episode_keeps_the_events_of_one_worker(self):
+        bench = build_trap_benchmark(depth=2)
+        config = SearchConfig(k=5, b=1, T=2, m=20)
+        events = []
+        for eval_workers in (1, 2, 3):
+            backend = _FailingDrawBackend(bench, f"VALUE root/{TRAP}", 4)
+            transcript = Transcript()
+            with pytest.raises(BackendUnavailableError):
+                tout_bfs(bench.task(), "root", backend,
+                         replace(config, eval_workers=eval_workers), transcript)
+            events.append(transcript.record_events())
+        kinds = [e["event"] for e in events[0]]
+        assert kinds.count("sample") == 20 + 4 and kinds.count("evaluate") == 1
+        assert events[1] == events[0]
+        assert events[2] == events[0]
+
+    def test_failed_state_cancels_the_states_not_started(self, monkeypatch):
+        futures = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                futures.append(super().submit(*args, **kwargs))
+                return futures[-1]
+
+        monkeypatch.setattr("tout.uncertainty.ThreadPoolExecutor", RecordingPool)
+        bench = build_trap_benchmark(depth=1)
+        bench.children["root"] = ["a", "b", "c", "d"]
+        # b and c hold both workers until d, queued behind them, is cancelled
+        backend = _FailingDrawBackend(
+            bench, "VALUE root/a", 0, held={"VALUE root/b", "VALUE root/c"},
+            release=lambda: len(futures) == 4 and futures[3].cancelled(),
+        )
+        config = SearchConfig(k=4, b=1, T=1, m=2, eval_workers=2)
+        with pytest.raises(BackendUnavailableError):
+            tout_bfs(bench.task(), "root", backend, config)
+        assert "VALUE root/d" not in backend.prompts
 
 
 class _UnparsableValueTask(SyntheticTreeTask):
