@@ -6,6 +6,12 @@ Three interchangeable backends sit behind one ``generate`` call:
 * ScriptedBackend  -- pure table lookup; the deterministic test double.
 * SyntheticOracleBackend -- seeded noisy oracle for desk-scale experiments.
 
+A backend wider than one request (HttpBackend) also lets a caller start
+requests with ``send`` and take each reply later with ``generate``.
+HttpBackend keeps a shared set of keep-alive connections and drives them
+through one selector from whichever caller thread is waiting for a reply;
+it starts no thread of its own.
+
 The response cache and the loop that answers a batch of draws from it or
 from a backend live in ``tout.calls``.
 
@@ -22,11 +28,13 @@ import json
 import logging
 import math
 import os
+import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import weakref
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 from urllib.parse import unquote, urlsplit
 
 from .model import (
@@ -43,17 +51,18 @@ log = logging.getLogger(__name__)
 
 DEFAULT_MAX_TOKENS = 512
 
-# HttpBackend's pool width. A search step sends k*m value draws at once (100
-# at the game24 settings, k=5, m=20): 128, the next power of two, sends them
-# in one round trip, where 32 took 4 (README, "Backends").
+# HttpBackend's width: the most connections, so requests, it keeps open at
+# once. A search step sends k*m value draws at once (100 at the game24
+# settings, k=5, m=20): 128, the next power of two, sends them in one round
+# trip, where 32 took 4 (README, "Backends").
 DEFAULT_MAX_IN_FLIGHT = 128
 
 # The status line and headers of a response must fit in this many bytes.
 _MAX_HEAD = 64 * 1024
-# Each connection's receive buffer starts at this size and grows, up to
-# _MAX_HEAD, only to hold a longer head; a body is copied out as it arrives.
-# A loopback game24 reply is under 0.5 KiB; at 128 connections, each KiB
-# here is ~0.13 MB of peak memory (README, "Backends").
+# Each connection's receive buffer starts at this size and grows only to
+# hold a longer reply: a reply is parsed once it is all in. A loopback
+# game24 reply is under 0.5 KiB; at 128 connections, each KiB here is
+# ~0.13 MB of peak memory (README, "Backends").
 _RECV_SIZE = 2 * 1024
 _HEX_DIGITS = b"0123456789abcdefABCDEF"
 
@@ -160,15 +169,19 @@ def body_to_request(body: dict[str, Any]) -> BackendRequest:
 class Backend:
     """Minimal backend interface: an id for cache keys plus raw generation.
 
-    ``max_in_flight`` is how many requests may be outstanding at once.
-    Backends wider than 1 also provide ``executor()``, a pool of that width
-    through which the engine sends every request it makes to them, from
-    every thread; a backend of width 1 is called on the caller's thread.
-    HttpBackend is DEFAULT_MAX_IN_FLIGHT (128) wide, so a search step's
-    k*m value draws (100 at the game24 settings) go out in one round trip;
-    the in-process backends are 1 wide. A request's ``index`` is its draw's
-    number, for a backend whose answers depend on it rather than on call
-    order.
+    ``max_in_flight`` is how many requests may be outstanding at once. A
+    backend wider than 1 can start requests before their replies are
+    taken: ``send(requests)`` starts them, ``generate(request)`` takes the
+    reply of a request that was sent, or sends it and waits, and
+    ``cancel(requests)`` releases sent requests that will not be taken. So
+    each backend call is still one ``generate`` call. The engine sends a
+    batch's cache misses ahead only to a backend wider than 1 (see
+    cached_generate_many); on the in-process backends, 1 wide, ``send``
+    and ``cancel`` do nothing and each request is generated in its turn on
+    the caller's thread. HttpBackend is DEFAULT_MAX_IN_FLIGHT (128) wide,
+    so a search step's k*m value draws (100 at the game24 settings) go out
+    in one round trip. A request's ``index`` is its draw's number, for a
+    backend whose answers depend on it rather than on call order.
     """
 
     backend_id: str = "backend"
@@ -176,6 +189,12 @@ class Backend:
 
     def generate(self, request: BackendRequest) -> BackendResponse:
         raise NotImplementedError
+
+    def send(self, requests: Sequence[BackendRequest]) -> None:
+        """Start requests whose replies generate() will take."""
+
+    def cancel(self, requests: Sequence[BackendRequest]) -> None:
+        """Release sent requests whose replies will not be taken."""
 
     def close(self) -> None:
         """Release what the backend holds open; the in-process ones hold
@@ -187,8 +206,10 @@ def generate(
 ) -> BackendResponse:
     """Issue one generation call, timing it into the live transcript.
 
-    The latency-bearing event is deliberately excluded from persisted run
-    records (see model.RECORD_EVENT_KINDS).
+    The event's ``latency_ms`` is how long the caller waited: for a request
+    sent ahead with ``backend.send``, the wait for its reply, not its round
+    trip. The latency-bearing event is deliberately excluded from persisted
+    run records (see model.RECORD_EVENT_KINDS).
     """
     started = time.monotonic()
     response = backend.generate(request)
@@ -253,94 +274,157 @@ class HttpProtocolError(OSError):
     HttpBackend retries it as it retries a transport error."""
 
 
+class _Incomplete(Exception):
+    """The buffered bytes end before the response does: parse it again
+    once more have arrived."""
+
+
+# selectors.EVENT_READ and EVENT_WRITE, without importing selectors with tout
+_READ, _WRITE = 1, 2
+
+# The stages of a connection's exchange, in order; the last two read.
+_IDLE = 0  # no request: kept alive for the next, or not opened yet
+_OPEN = 1  # to be resolved and connected
+_CONNECT = 2  # waiting for the connect to complete
+_HANDSHAKE = 3  # in the TLS handshake
+_SEND = 4  # sending the request, or CONNECT to a proxy
+_TUNNEL = 5  # reading the proxy's reply to CONNECT
+_RECV = 6  # reading the response
+
+
+def _wait_for(exc: OSError, default: int) -> int:
+    """The event a non-blocking socket call that raised exc waits for
+    before it is tried again, or 0 when exc is a failure. A full or empty
+    socket buffer waits for ``default`` (_READ for a receive, _WRITE for a
+    send); TLS names the event it needs."""
+    if isinstance(exc, BlockingIOError):
+        return default
+    ssl = sys.modules.get("ssl")  # loaded by any TLS connection
+    if ssl is not None:
+        if isinstance(exc, ssl.SSLWantReadError):
+            return _READ
+        if isinstance(exc, ssl.SSLWantWriteError):
+            return _WRITE
+    return 0
+
+
 class _Connection:
-    """One keep-alive HTTP/1.1 connection and its receive buffer.
+    """One keep-alive HTTP/1.1 connection, its receive buffer and the
+    request it carries.
 
     ``sock`` is None until HttpBackend opens it for a first request, and
     again after ``close()``. Received bytes not yet parsed are
     ``buf[start:end]``; ``received`` tells whether any byte of the current
-    response has arrived.
+    response has arrived, and ``eof`` whether the server has closed. The
+    parse methods read only what is buffered: when the bytes end before
+    the response does, they raise _Incomplete, and the caller parses again
+    from the same ``start`` once more have arrived.
     """
 
-    __slots__ = ("sock", "buf", "start", "end", "received")
+    __slots__ = (
+        "sock", "fd", "buf", "start", "end", "received", "eof", "stage",
+        "events", "call", "reused", "out", "deadline", "addresses", "proxy",
+        "tls",
+    )
 
     def __init__(self):
         self.sock: Any = None
+        self.fd = -1  # the socket's descriptor, as the selector knows it
         self.buf = bytearray(_RECV_SIZE)
         self.start = self.end = 0
-        self.received = False
+        self.received = self.eof = False
+        self.stage = _IDLE
+        self.events = 0  # the events it is registered for; 0: none
+        self.call: Optional[_Call] = None
+        self.reused = False  # the request went out on a kept-alive socket
+        self.out = b""  # the bytes of the request (or CONNECT) not yet sent
+        self.deadline = math.inf  # time.monotonic() by which a byte must move
+        self.addresses: list = []  # getaddrinfo results not yet tried
+        self.proxy = ""  # the proxy's host name while its tunnel is not set up
+        self.tls = False
 
     def close(self) -> None:
         if self.sock is not None:
             self.sock.close()
             self.sock = None
         self.start = self.end = 0
+        self.eof = False
+        self.stage = _IDLE
+        self.events = 0
 
-    def _fill(self) -> int:
-        """Receive more bytes after those buffered; 0 at end of stream."""
-        buf = self.buf
-        if self.start == self.end:
-            self.start = self.end = 0
-        elif self.end == len(buf):
-            if self.start:  # move the unparsed bytes to the front
-                size = self.end - self.start
-                buf[:size] = buf[self.start : self.end]
-                self.start, self.end = 0, size
-            else:  # a head longer than the buffer; callers stop at _MAX_HEAD
-                buf *= 2
-        received = self.sock.recv_into(memoryview(buf)[self.end :])
-        if received:
+    def recv(self) -> int:
+        """Move the bytes that have arrived into the buffer, setting
+        ``eof`` at the end of the stream; returns the event to wait for
+        before more can arrive."""
+        while True:
+            buf = self.buf
+            if self.start == self.end:
+                self.start = self.end = 0
+            elif self.end == len(buf):
+                if self.start:  # move the unparsed bytes to the front
+                    size = self.end - self.start
+                    buf[:size] = buf[self.start : self.end]
+                    self.start, self.end = 0, size
+                else:  # a reply longer than the buffer
+                    buf *= 2
+            free = len(buf) - self.end
+            try:
+                received = self.sock.recv_into(memoryview(buf)[self.end :])
+            except OSError as exc:
+                wait = _wait_for(exc, _READ)
+                if not wait:
+                    raise
+                return wait
+            if not received:
+                self.eof = True
+                return _READ
             self.end += received
             self.received = True
-        return received
+            # a short read emptied the socket; TLS may hold decrypted bytes
+            if received < free and not self.tls:
+                return _READ
 
-    def _cut_short(self, what: str) -> HttpProtocolError:
+    def _short(self, what: str) -> Exception:
+        """The error for a parse that ran out of bytes: _Incomplete while
+        the stream is open, else the response was cut short."""
+        if not self.eof:
+            return _Incomplete()
         if not self.received:
             return HttpProtocolError("connection closed before a response")
         return HttpProtocolError(f"connection closed in the {what}")
 
     def _take(self, n: int, body: bytearray) -> None:
         """Move the next n bytes of the stream to body."""
-        while True:
-            take = min(n, self.end - self.start)
-            body += self.buf[self.start : self.start + take]
-            self.start += take
-            n -= take
-            if not n:
-                return
-            if not self._fill():
-                raise self._cut_short("body")
+        if self.end - self.start < n:
+            raise self._short("body")
+        body += self.buf[self.start : self.start + n]
+        self.start += n
 
     def _line(self) -> bytes:
         """The next line of the stream, without its line ending."""
-        while True:
-            stop = self.buf.find(b"\n", self.start, self.end)
-            if stop >= 0:
-                line = bytes(self.buf[self.start : stop]).rstrip(b"\r")
-                self.start = stop + 1
-                return line
+        stop = self.buf.find(b"\n", self.start, self.end)
+        if stop < 0:
             if self.end - self.start >= _MAX_HEAD:
                 raise HttpProtocolError("line longer than 64 KiB")
-            if not self._fill():
-                raise self._cut_short("chunked body")
+            raise self._short("chunked body")
+        line = bytes(self.buf[self.start : stop]).rstrip(b"\r")
+        self.start = stop + 1
+        return line
 
     def head(self) -> tuple[str, int, dict[str, str]]:
         """The next response head: its version, status and headers, keyed
         by lowercase name (a repeated header's values joined by ", ")."""
         buf = self.buf
-        while True:
-            stop = buf.find(b"\r\n\r\n", self.start, self.end)
-            newline = "\r\n"
-            # a server may end its lines with LF alone
-            bare = buf.find(b"\n\n", self.start, self.end if stop < 0 else stop)
-            if bare >= 0:
-                stop, newline = bare, "\n"
-            if stop >= 0:
-                break
+        stop = buf.find(b"\r\n\r\n", self.start, self.end)
+        newline = "\r\n"
+        # a server may end its lines with LF alone
+        bare = buf.find(b"\n\n", self.start, self.end if stop < 0 else stop)
+        if bare >= 0:
+            stop, newline = bare, "\n"
+        if stop < 0:
             if self.end - self.start >= _MAX_HEAD:
                 raise HttpProtocolError("response head longer than 64 KiB")
-            if not self._fill():
-                raise self._cut_short("head")
+            raise self._short("head")
         if stop - self.start > _MAX_HEAD:
             raise HttpProtocolError("response head longer than 64 KiB")
         lines = buf[self.start : stop].decode("latin-1").split(newline)
@@ -389,7 +473,8 @@ class _Connection:
             self._take(int(length), body)
         else:
             keep = self._until_close(body)
-        if self.start != self.end:  # bytes past the response: do not reuse
+        # bytes past the response, or a server that closed: do not reuse
+        if self.start != self.end or self.eof:
             keep = False
         return status, headers, body, keep
 
@@ -409,11 +494,11 @@ class _Connection:
     def _until_close(self, body: bytearray) -> bool:
         """Read a body that ends when the server closes; returns False, as
         the connection cannot be reused."""
-        while True:
-            body += self.buf[self.start : self.end]
-            self.start = self.end
-            if not self._fill():
-                return False
+        if not self.eof:
+            raise _Incomplete()
+        body += self.buf[self.start : self.end]
+        self.start = self.end
+        return False
 
 
 def _proxy_for(url) -> Optional[str]:
@@ -436,46 +521,134 @@ def _is_number(value: Any, kinds: type | tuple[type, ...]) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+class _Call:
+    """One POST to the endpoint, from its first send to its reply or its
+    last failure."""
+
+    __slots__ = (
+        "request", "wire", "attempts", "due", "last_status", "last_error",
+        "conn", "cancelled", "done", "result", "error",
+    )
+
+    def __init__(self, request: Optional[BackendRequest], wire: bytes = b""):
+        self.request = request  # the request sent ahead, or None
+        self.wire = wire  # the request's bytes, head and body; built on first send
+        self.attempts = 0  # times sent
+        self.due = 0.0  # time.monotonic() before which it is not sent again
+        self.last_status: Optional[int] = None
+        self.last_error = "no attempt made"
+        self.conn: Optional[_Connection] = None  # the connection carrying it
+        self.cancelled = self.done = False
+        self.result: Any = None  # (completions, usage) once done
+        self.error: Optional[BaseException] = None
+
+
+class _Poller:
+    """A selector over an HttpBackend's connections, made on first use,
+    and a socket pair whose write end wakes a thread blocked in it."""
+
+    __slots__ = ("selector", "_wake")
+
+    def __init__(self):
+        self.selector: Any = None
+        self._wake: Any = None
+
+    def open(self):
+        if self.selector is None:
+            import selectors
+            import socket
+
+            self.selector = selectors.DefaultSelector()
+            self._wake = socket.socketpair()
+            for end in self._wake:
+                end.setblocking(False)
+            self.selector.register(self._wake[0], _READ)  # its data is None
+        return self.selector
+
+    def wake(self) -> None:
+        wake = self._wake
+        try:
+            wake[1].send(b"\0")
+        except (OSError, TypeError):  # full: a wake-up is pending; or closed
+            pass
+
+    def drain(self) -> None:
+        try:
+            self._wake[0].recv(4096)
+        except OSError:
+            pass
+
+    def close(self) -> None:
+        if self.selector is not None:
+            self.selector.close()
+            for end in self._wake:
+                end.close()
+        self.selector = self._wake = None
+
+
+def _release(connections: set, poller: _Poller) -> None:
+    """Close an HttpBackend's connections and its selector: by close(), and
+    when the backend is collected without it."""
+    for conn in connections:
+        conn.close()
+    connections.clear()
+    poller.close()
+
+
 class HttpBackend(Backend):
     """Client for any OpenAI-compatible /v1/chat/completions endpoint.
 
-    Batches n completions into a single request when the provider honors n;
-    shortfalls are re-requested sequentially and, failing that, padded with
-    empty text (logged, and counted in ``padded``). Transient failures,
-    including a 200 whose body is not a JSON object or whose ``choices``
-    is not a list of objects with string or null ``message.content``,
-    retry with exponential backoff before raising BackendUnavailableError
-    with the last HTTP status and the number of attempts made; a 429 whose
-    Retry-After gives seconds waits at least that long, unless it asks for
-    more than ``backoff_s * 2**max_retries``, which fails at once. Such a
-    429 pauses the whole pool: no thread sends a request, first tries
-    included, until the Retry-After has passed, so the others do not spend
-    their retries on a rate limit.
+    Batches n completions into a single request when the provider honors n.
+    The first reply with fewer choices than asked for is logged, once per
+    backend; every shortfall is re-requested one completion at a time and,
+    failing that, padded with empty text (logged, and counted in
+    ``padded``). Transient failures, including a 200 whose body is not a
+    JSON object or whose ``choices`` is not a list of objects with string
+    or null ``message.content``, retry with exponential backoff before
+    raising BackendUnavailableError with the last HTTP status and the
+    number of attempts made; a 429 whose Retry-After gives seconds waits
+    at least that long, unless it asks for more than
+    ``backoff_s * 2**max_retries``, which fails at once. Such a 429 pauses
+    every send: no request goes out, first tries included, until the
+    Retry-After has passed, so the others do not spend their retries on a
+    rate limit.
 
-    Requests are plain HTTP/1.1 over a socket: each thread keeps one
-    keep-alive connection to the endpoint, opened on its first request
-    (TLS-wrapped for an ``https`` base URL). The request head is built once;
-    a request adds its Content-Length and goes out in one send. A response
-    is read into the connection's own buffer and framed by RFC 9112: a
-    chunked body, else its Content-Length, else until the server closes.
-    A malformed or truncated response is an HttpProtocolError, retried as
-    a transport error is. A connection that fails, is close-delimited or
-    is marked ``Connection: close`` (or is an HTTP/1.0 reply without
-    keep-alive) is closed and dropped; a kept-alive one that the server
-    closed while idle is reopened once at once, without a retry or a
-    backoff. When the environment names a proxy for the base URL's scheme
-    and the host is not bypassed (``no_proxy``), the connection is a
-    CONNECT tunnel through that proxy.
+    Requests are plain HTTP/1.1 over non-blocking sockets. The backend
+    keeps a shared set of at most ``max_in_flight`` keep-alive
+    connections to the endpoint, each carrying one request at a time,
+    opened as requests need them (TLS-wrapped for an ``https`` base URL),
+    and drives them through one ``selectors`` selector. It starts no
+    thread: a caller waiting for a reply runs the selector loop, one
+    thread at a time. That loop connects, tunnels, shakes hands, sends,
+    reads and parses for every request in flight, stores the replies of
+    other callers and wakes them, and schedules retries, so the failed
+    requests of a batch back off together. ``send(requests)`` sends at
+    once as many as free connections allow and queues the rest in order;
+    ``generate(request)`` takes the reply of a sent request, or sends it
+    and waits; ``cancel(requests)`` drops sent requests that will not be
+    taken, closing the connections that still carry them. So
+    ``max_in_flight`` bounds the requests on the wire across all
+    ``--jobs`` threads, a direct ``generate()`` call included. The
+    default, DEFAULT_MAX_IN_FLIGHT = 128, sends a 100-draw search step in
+    one round trip rather than 4 at 32 (README, "Backends").
+    ``timeout_s`` bounds how long a connection that carries a request
+    waits for its next byte to move, its connect included.
 
-    ``executor()`` is a pool of width ``max_in_flight``, shared by every
-    caller. The engine sends every request it makes through it (see
-    cached_generate_many), so the pool alone bounds the requests on the
-    wire, across all ``--jobs`` threads; a direct ``generate()`` call
-    outside the pool is not bounded. The default width,
-    DEFAULT_MAX_IN_FLIGHT = 128, sends a 100-draw search step in one round
-    trip rather than 4 at 32 (README, "Backends"). Threads start only as
-    requests arrive. ``close()`` shuts the pool down and closes
-    every connection, and the backend reopens what it needs if used again.
+    The request head is built once; a request adds its Content-Length and
+    goes out in one send. A response is read into the connection's own
+    buffer and framed by RFC 9112: a chunked body, else its
+    Content-Length, else until the server closes. A malformed or truncated
+    response is an HttpProtocolError, retried as a transport error is. A
+    connection that fails, is close-delimited or is marked ``Connection:
+    close`` (or is an HTTP/1.0 reply without keep-alive) is closed and
+    dropped; a kept-alive one that the server closed while idle is
+    reopened once at once, without a retry or a backoff. When the
+    environment names a proxy for the base URL's scheme and the host is
+    not bypassed (``no_proxy``), the connection is a CONNECT tunnel
+    through that proxy. ``close()`` closes every connection and the
+    selector, as does collecting the backend; the backend reopens what it
+    needs if used again, and a request that was on the wire is sent again
+    if it is taken.
     """
 
     def __init__(
@@ -545,69 +718,307 @@ class HttpBackend(Backend):
             head.append(b"Authorization: Bearer " + key)
         head.append(b"Content-Length: ")
         self._head = b"\r\n".join(head)  # each request adds its length and body
-        self._tls: Any = None  # the https context, made on first use
+        self._endpoint = self.base_url + "/v1/chat/completions"
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         self.timeout_s = timeout_s
         self.max_in_flight = max_in_flight
         self.padded = 0  # empty completions padded in for a provider's shortfall
-        self._pool: Optional[ThreadPoolExecutor] = None
-        # guards _pool, _connections, _tls, padded, _not_before
-        self._pool_lock = threading.Lock()
+        self._warned_short = False  # a reply short of n has been logged
+        # guards padded, _warned_short and the fields down to _cancelled
+        self._lock = threading.Lock()
+        self._woken = threading.Condition(self._lock)  # a call is done, or the loop free
+        self._driving = False  # a thread runs the selector loop
+        self._waiting = 0  # threads waiting on _woken
+        self._queue: deque[_Call] = deque()  # calls waiting for a connection or a time
+        self._sent: dict[int, list[_Call]] = {}  # id(request) -> its calls not yet taken
+        self._cancelled: list[_Call] = []  # whose connections are still to be released
+        # Only the thread running the loop touches the fields below.
+        self._connections: set[_Connection] = set()  # every connection made
+        self._idle: list[_Connection] = []  # open, kept alive, carrying nothing
+        self._poller = _Poller()
         self._not_before = 0.0  # time.monotonic() before which nothing is sent
-        self._connections: set = set()
-        self._local = threading.local()
+        self._next_check = math.inf  # no connection times out before this
+        self._tls: Any = None  # the https context, made on first use
+        weakref.finalize(self, _release, self._connections, self._poller)
         self.backend_id = f"http:{self.base_url}:{self.model}"
 
-    def executor(self) -> ThreadPoolExecutor:
-        """The shared request pool, created on first use."""
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_in_flight, thread_name_prefix="tout-http"
-                )
-            return self._pool
+    def _wire(self, body: dict[str, Any]) -> bytes:
+        data = json.dumps(body).encode("utf-8")
+        return b"%s%d\r\n\r\n%s" % (self._head, len(data), data)
+
+    def send(self, requests: Sequence[BackendRequest]) -> None:
+        calls = [_Call(request) for request in requests]
+        with self._lock:
+            sent = self._sent
+            for call in calls:
+                sent.setdefault(id(call.request), []).append(call)
+            self._queue.extend(calls)
+        self._kick()
+
+    def cancel(self, requests: Sequence[BackendRequest]) -> None:
+        with self._lock:
+            for request in requests:
+                call = self._pop_sent(request)
+                if call is not None and not call.done:
+                    call.cancelled = True
+                    self._cancelled.append(call)
+            if not self._cancelled:
+                return
+        self._kick()
+
+    def _pop_sent(self, request: BackendRequest) -> Optional[_Call]:
+        """The oldest call sent for request and not yet taken, or None.
+        Call under _lock."""
+        calls = self._sent.get(id(request))
+        if calls is None:
+            return None
+        call = calls.pop(0)
+        if not calls:
+            del self._sent[id(request)]
+        return call
 
     def close(self) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-        with self._pool_lock:
-            connections, self._connections = self._connections, set()
-        for conn in connections:
-            conn.close()
+        with self._lock:
+            while self._driving:
+                self._waiting += 1
+                self._woken.wait()
+                self._waiting -= 1
+            self._driving = True
+        try:
+            for conn in self._connections:
+                call = conn.call
+                if call is not None:  # sent again if it is taken
+                    conn.call = call.conn = None
+                    call.attempts -= 1
+                    with self._lock:
+                        self._queue.appendleft(call)
+            self._idle.clear()
+            self._next_check = math.inf
+            _release(self._connections, self._poller)
+        finally:
+            self._leave()
 
-    def _connection(self) -> _Connection:
-        """This thread's connection, made anew after a failure or close();
-        its socket is opened by the first request."""
-        conn = getattr(self._local, "conn", None)
-        with self._pool_lock:
-            if conn not in self._connections:
-                conn = self._local.conn = _Connection()
-                self._connections.add(conn)
-        return conn
+    def _kick(self) -> None:
+        """Start what is queued and release what was cancelled: on this
+        thread when no thread runs the loop, else by waking the one that
+        does."""
+        with self._lock:
+            busy = self._driving
+            self._driving = True
+        if busy:
+            self._poller.wake()
+            return
+        try:
+            self._housekeep()
+        finally:
+            self._leave()
 
-    def _drop(self, conn: _Connection) -> None:
-        conn.close()
-        with self._pool_lock:
-            self._connections.discard(conn)
+    def _leave(self) -> None:
+        """Give up running the loop, and wake the threads waiting for it."""
+        with self._lock:
+            self._driving = False
+            if self._waiting:
+                self._woken.notify_all()
+
+    def _take(self, call: _Call) -> tuple[list[str], Optional[dict[str, Any]]]:
+        """Wait for call's reply, running the loop while no other thread
+        does: its completions and usage, or its error raised."""
+        with self._lock:
+            while not call.done and self._driving:
+                self._waiting += 1
+                self._woken.wait()
+                self._waiting -= 1
+            drive = not call.done
+            if drive:
+                self._driving = True
+        if drive:
+            try:
+                self._drive(call)
+            finally:
+                self._leave()
+        if call.error is not None:
+            raise call.error
+        return call.result
+
+    def _drive(self, call: _Call) -> None:
+        """The selector loop, run until call is done."""
+        selector = self._poller.open()
+        timeout_s = self.timeout_s
+        while True:
+            wake_at = min(self._housekeep(), self._next_check)
+            if call.done:
+                return
+            timeout = wake_at - time.monotonic()
+            events = selector.select(None if timeout == math.inf else max(timeout, 0.0))
+            now = time.monotonic()
+            for key, _ in events:
+                conn = key.data
+                if conn is None:
+                    self._poller.drain()
+                elif conn.events:  # not dropped since the select
+                    conn.deadline = now + timeout_s
+                    self._service(conn)
+            if now >= self._next_check:
+                self._expire(now)
+
+    def _housekeep(self) -> float:
+        """Release the connections of cancelled calls, then start queued
+        calls that are due while a connection is free; returns when the
+        next queued call may start (inf: when a connection frees)."""
+        with self._lock:
+            cancelled, self._cancelled = self._cancelled, []
+            if cancelled:
+                self._queue = deque(c for c in self._queue if not c.cancelled)
+        for call in cancelled:
+            if call.conn is not None:
+                self._drop(call.conn)
+        while True:
+            now = time.monotonic()
+            free = len(self._idle) + self.max_in_flight - len(self._connections)
+            ready: list[_Call] = []
+            wake_at = math.inf
+            with self._lock:
+                queue = self._queue
+                if not queue:
+                    return math.inf
+                if now < self._not_before:
+                    return self._not_before
+                later = []
+                while queue and len(ready) < free:
+                    call = queue.popleft()
+                    if call.cancelled:
+                        continue
+                    if call.due > now:
+                        later.append(call)
+                        wake_at = min(wake_at, call.due)
+                    else:
+                        ready.append(call)
+                queue.extendleft(reversed(later))
+            if not ready:
+                return wake_at
+            for call in ready:
+                self._start(call, now)
+
+    def _start(self, call: _Call, now: float) -> None:
+        """Send call on an idle connection, or on a new one."""
+        if self._idle:
+            conn = self._idle.pop()  # the most recently used
+            conn.reused = True
+            conn.stage = _SEND
+        else:
+            conn = _Connection()
+            self._connections.add(conn)
+            conn.reused = False
+            conn.stage = _OPEN
+        conn.call, call.conn = call, conn
+        call.attempts += 1
+        conn.received = False
+        if not call.wire:  # built as it is first sent: the first goes out at once
+            call.wire = self._wire(request_to_body(call.request, self.model))
+        conn.out = call.wire
+        conn.deadline = now + self.timeout_s
+        self._next_check = min(self._next_check, conn.deadline)
+        self._service(conn)
+
+    def _service(self, conn: _Connection) -> None:
+        """Advance conn, turning a failure into a retry or an error."""
+        try:
+            self._advance(conn)
+        except OSError as exc:
+            self._broken(conn, exc)
+        except BaseException as exc:
+            call = self._drop(conn)
+            if call is not None:
+                self._finish(call, error=exc)
+            if not isinstance(exc, Exception):
+                raise
+
+    def _advance(self, conn: _Connection) -> None:
+        """Carry conn's exchange on until it must wait for its socket."""
+        while True:
+            stage = conn.stage
+            if stage >= _TUNNEL:  # a reply to read
+                wait = conn.recv()
+                mark = conn.start
+                try:
+                    if stage == _RECV:
+                        reply = conn.response()
+                    else:
+                        status = conn.head()[1]
+                except _Incomplete:
+                    conn.start = mark
+                    self._want(conn, wait)
+                    return
+                if stage == _RECV:
+                    self._reply(conn, *reply)
+                    return
+                if not 200 <= status < 300:
+                    raise OSError(f"proxy {conn.proxy} refused the tunnel: HTTP {status}")
+                conn.proxy = ""
+                conn.received = False  # no byte of the response yet
+                conn.out = conn.call.wire
+                self._secure(conn)
+            elif stage == _SEND:
+                try:
+                    while conn.out:
+                        conn.out = conn.out[conn.sock.send(conn.out) :]
+                except OSError as exc:
+                    wait = _wait_for(exc, _WRITE)
+                    if not wait:
+                        raise
+                    self._want(conn, wait)
+                    return
+                if conn.proxy:  # the CONNECT went out: read the proxy's reply
+                    conn.stage = _TUNNEL
+                    continue
+                conn.stage = _RECV
+                self._want(conn, _READ)  # nothing to read before the server has it
+                return
+            elif stage == _CONNECT:
+                import socket
+
+                error = conn.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+                if error:
+                    self._unwatch(conn)
+                    conn.sock.close()
+                    conn.sock = None
+                    if not conn.addresses:
+                        raise OSError(error, os.strerror(error))
+                    self._connect(conn)  # the next address the name resolved to
+                    return
+                if conn.proxy:
+                    conn.stage = _SEND  # the CONNECT, in conn.out
+                else:
+                    self._secure(conn)
+            elif stage == _HANDSHAKE:
+                try:
+                    conn.sock.do_handshake()
+                except OSError as exc:
+                    wait = _wait_for(exc, _READ)
+                    if not wait:
+                        raise
+                    self._want(conn, wait)
+                    return
+                conn.stage = _SEND
+            elif stage == _OPEN:
+                self._open(conn)
+                return
+            else:  # _IDLE: the server closed, or sent what nobody asked for
+                self._drop(conn)
+                return
 
     def _open(self, conn: _Connection) -> None:
-        """Connect to the endpoint, or tunnel to it through the proxy the
-        environment names for it, then wrap the socket in TLS for https."""
+        """Resolve the endpoint, or the proxy the environment names for it,
+        and start connecting to its first address."""
         import socket  # loaded by the first request, not by importing tout
 
         url = self._url
         proxy = _proxy_for(url)
+        conn.tls = url.scheme == "https"
         if proxy:
             via = urlsplit(proxy if "://" in proxy else "http://" + proxy)
-            address = (via.hostname, via.port or 80)
-        else:
-            address = (url.hostname, url.port or (443 if url.scheme == "https" else 80))
-        conn.sock = socket.create_connection(address, timeout=self.timeout_s)
-        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        if proxy:
+            host, port = via.hostname, via.port or 80
             lines = [f"CONNECT {self._target} HTTP/1.1", f"Host: {self._target}"]
             if via.username:
                 import base64
@@ -615,142 +1026,232 @@ class HttpBackend(Backend):
                 credentials = f"{unquote(via.username)}:{unquote(via.password or '')}"
                 token = base64.b64encode(credentials.encode("utf-8")).decode("ascii")
                 lines.append(f"Proxy-Authorization: Basic {token}")
-            conn.sock.sendall(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
-            _, status, _ = conn.head()
-            if not 200 <= status < 300:
-                raise OSError(f"proxy {via.hostname} refused the tunnel: HTTP {status}")
-        if url.scheme == "https":
-            conn.sock = self._tls_context().wrap_socket(
-                conn.sock, server_hostname=url.hostname
-            )
+            conn.out = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+            conn.proxy = via.hostname or proxy  # names it in errors; never empty
+        else:
+            host, port = url.hostname, url.port or (443 if conn.tls else 80)
+        conn.addresses = socket.getaddrinfo(host, port, 0, socket.SOCK_STREAM)
+        self._connect(conn)
+
+    def _connect(self, conn: _Connection) -> None:
+        """Start a non-blocking connect to the next address, trying the
+        ones after it while a connect fails at once, as
+        socket.create_connection does."""
+        import errno
+        import socket
+
+        while True:
+            family, kind, proto, _, address = conn.addresses.pop(0)
+            sock = socket.socket(family, kind, proto)
+            try:
+                sock.setblocking(False)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                error = sock.connect_ex(address)
+            except BaseException:
+                sock.close()
+                raise
+            if error in (0, errno.EINPROGRESS, errno.EAGAIN, errno.EWOULDBLOCK):
+                conn.sock, conn.fd, conn.stage = sock, sock.fileno(), _CONNECT
+                self._want(conn, _WRITE)
+                return
+            sock.close()
+            if not conn.addresses:
+                raise OSError(error, os.strerror(error))
+
+    def _secure(self, conn: _Connection) -> None:
+        """Wrap a connected socket in TLS for https, then send."""
+        if not conn.tls:
+            conn.stage = _SEND
+            return
+        conn.sock = self._tls_context().wrap_socket(
+            conn.sock, server_hostname=self._url.hostname, do_handshake_on_connect=False
+        )
+        conn.stage = _HANDSHAKE
 
     def _tls_context(self):
         """The backend's TLS context, made on first use: the system's
         certificate store (or SSL_CERT_FILE), verifying the host name."""
-        import ssl
+        if self._tls is None:
+            import ssl
 
-        with self._pool_lock:
-            if self._tls is None:
-                self._tls = ssl.create_default_context()
-                self._tls.set_alpn_protocols(["http/1.1"])
-            return self._tls
+            self._tls = ssl.create_default_context()
+            self._tls.set_alpn_protocols(["http/1.1"])
+        return self._tls
 
-    def _exchange(self, data: bytes):
-        """One POST on this thread's connection: (status, headers, body)."""
-        request = b"%s%d\r\n\r\n%s" % (self._head, len(data), data)
-        while True:
-            conn = self._connection()
-            reused = conn.sock is not None  # kept alive from an earlier request
-            conn.received = False
-            try:
-                if not reused:
-                    self._open(conn)
-                conn.sock.sendall(request)
-                status, headers, body, keep = conn.response()
-            except BaseException as exc:
-                self._drop(conn)
-                # a server may close a keep-alive connection while it idles:
-                # an error on one, before any byte of a reply, is not a failure
-                if (
-                    reused
-                    and not conn.received
-                    and isinstance(exc, OSError)
-                    and not isinstance(exc, TimeoutError)
-                ):
-                    continue
-                raise
-            if not keep:
-                self._drop(conn)
-            return status, headers, body
+    def _want(self, conn: _Connection, events: int) -> None:
+        if conn.events != events:
+            selector = self._poller.open()
+            if conn.events:
+                selector.modify(conn.fd, events, conn)
+            else:
+                selector.register(conn.fd, events, conn)
+            conn.events = events
 
-    def _pause(self, seconds: float) -> float:
-        """Hold every thread's next request until seconds from now; returns
-        that time, which the caller's own backoff waits out."""
-        until = time.monotonic() + seconds
-        with self._pool_lock:
-            self._not_before = max(self._not_before, until)
-        return until
+    def _unwatch(self, conn: _Connection) -> None:
+        if conn.events:
+            self._poller.selector.unregister(conn.fd)
+            conn.events = 0
 
-    def _await_pause(self, own: float) -> None:
-        """Sleep until the pool's pause has passed, unless it is ``own``,
-        the pause this thread set and has already slept through."""
-        while True:
-            with self._pool_lock:
-                not_before = self._not_before
-            wait = not_before - time.monotonic()
-            if not_before == own or wait <= 0:
-                return
-            time.sleep(wait)
+    def _drop(self, conn: _Connection) -> Optional[_Call]:
+        """Close conn and forget it; returns the call it carried."""
+        self._unwatch(conn)
+        conn.close()
+        self._connections.discard(conn)
+        call, conn.call = conn.call, None
+        if call is None:
+            if conn in self._idle:
+                self._idle.remove(conn)
+        else:
+            call.conn = None
+        return call
 
-    def _post(
-        self, body: dict[str, Any]
-    ) -> tuple[list[str], Optional[dict[str, Any]]]:
-        """POST a request body: the completions and usage of the reply."""
-        url = self.base_url + "/v1/chat/completions"
-        data = json.dumps(body).encode("utf-8")
-        last_status: Optional[int] = None
-        last_error = "no attempt made"
-        retry_after = 0.0
-        paused = 0.0  # the end of the last pool pause this thread set
-        attempts = 0  # requests sent
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                delay = max(self.backoff_s * (2 ** (attempt - 1)), retry_after)
-                log.warning(
-                    "retrying %s in %.1fs (attempt %d/%d): %s",
-                    url,
-                    delay,
-                    attempt,
-                    self.max_retries,
-                    last_error,
-                )
-                time.sleep(delay)
-            retry_after = 0.0
-            self._await_pause(paused)
-            attempts += 1
-            try:
-                status, resp_headers, raw = self._exchange(data)
-            except OSError as exc:
-                last_error = repr(exc)
+    def _expire(self, now: float) -> None:
+        """Fail the requests whose connection has waited timeout_s for a
+        byte to move."""
+        self._next_check = math.inf
+        for conn in list(self._connections):
+            if conn.call is None:
                 continue
-            last_status = status
-            text = raw.decode("utf-8", "replace")
-            if status == 200:
-                try:
-                    payload = json.loads(text)
-                except ValueError:
-                    payload = None
-                if not isinstance(payload, dict):
-                    last_error = f"HTTP 200 without a JSON object: {text[:200]}"
-                    continue
-                completions = _completions_of(payload)
-                if completions is None:
-                    last_error = f"HTTP 200 with wrong-shape choices: {text[:200]}"
-                    continue
+            if conn.deadline <= now:
+                self._broken(conn, TimeoutError("timed out"))
+            else:
+                self._next_check = min(self._next_check, conn.deadline)
+
+    def _broken(self, conn: _Connection, exc: OSError) -> None:
+        """Drop a failed connection; its call is sent again at once, retried
+        or failed."""
+        reused, received = conn.reused, conn.received
+        call = self._drop(conn)
+        if call is None or call.cancelled:
+            return
+        # a server may close a keep-alive connection while it idles: an
+        # error on one, before any byte of a reply, is not a failure
+        if reused and not received and not isinstance(exc, TimeoutError):
+            call.attempts -= 1
+            with self._lock:
+                self._queue.appendleft(call)
+            return
+        call.last_error = repr(exc)
+        self._retry(call)
+
+    def _reply(
+        self, conn: _Connection, status: int, headers: dict[str, str], raw: bytearray, keep: bool
+    ) -> None:
+        """A complete response on conn: the connection is kept or closed,
+        and the call done, retried or failed."""
+        call = conn.call
+        if keep:
+            conn.call = call.conn = None
+            conn.stage = _IDLE  # still watched: a close while idle drops it
+            if len(conn.buf) > _MAX_HEAD:  # grown by a long reply: give it back
+                conn.buf = bytearray(_RECV_SIZE)
+            self._idle.append(conn)
+        else:
+            self._drop(conn)
+        if call.cancelled:
+            return
+        call.last_status = status
+        text = raw.decode("utf-8", "replace")
+        if status == 200:
+            try:
+                payload = json.loads(text)
+            except ValueError:
+                payload = None
+            if not isinstance(payload, dict):
+                call.last_error = f"HTTP 200 without a JSON object: {text[:200]}"
+            elif (completions := _completions_of(payload)) is None:
+                call.last_error = f"HTTP 200 with wrong-shape choices: {text[:200]}"
+            else:
                 usage = payload.get("usage")
                 if not isinstance(usage, dict):
                     usage = None  # a cache entry with another usage reads as damaged
-                return completions, usage
-            last_error = f"HTTP {status}: {text[:200]}"
-            if status == 429:
-                retry_after = _retry_after_s(resp_headers.get("retry-after"))
-                if retry_after > self.backoff_s * 2**self.max_retries:
-                    # a quota that far off: sleeping on it would stall the run
-                    last_error += f" (Retry-After {retry_after:g}s)"
-                    break
-                if retry_after:
-                    paused = self._pause(retry_after)
-            elif 400 <= status < 500:
-                break  # client errors won't heal on retry
-        plural = "" if attempts == 1 else "s"
-        raise BackendUnavailableError(
-            f"endpoint unavailable after {attempts} attempt{plural}: {last_error}",
-            last_status=last_status,
+                self._finish(call, (completions, usage))
+                return
+            self._retry(call)
+            return
+        call.last_error = f"HTTP {status}: {text[:200]}"
+        if status == 429:
+            retry_after = _retry_after_s(headers.get("retry-after"))
+            if retry_after > self.backoff_s * 2**self.max_retries:
+                # a quota that far off: waiting on it would stall the run
+                call.last_error += f" (Retry-After {retry_after:g}s)"
+                self._fail(call)
+                return
+            # no request is sent, first tries included, until it has passed
+            self._not_before = max(self._not_before, time.monotonic() + retry_after)
+            self._retry(call, retry_after)
+            return
+        if 400 <= status < 500:
+            self._fail(call)  # client errors won't heal on retry
+            return
+        self._retry(call)
+
+    def _retry(self, call: _Call, retry_after: float = 0.0) -> None:
+        """Queue call to be sent again after its backoff, or at least
+        ``retry_after`` seconds from now, or fail it once its retries are
+        spent."""
+        if call.attempts > self.max_retries:
+            self._fail(call)
+            return
+        delay = max(self.backoff_s * (2 ** (call.attempts - 1)), retry_after)
+        log.warning(
+            "retrying %s in %.1fs (attempt %d/%d): %s",
+            self._endpoint,
+            delay,
+            call.attempts,
+            self.max_retries,
+            call.last_error,
+        )
+        call.due = time.monotonic() + delay
+        with self._lock:
+            self._queue.append(call)
+
+    def _fail(self, call: _Call) -> None:
+        plural = "" if call.attempts == 1 else "s"
+        self._finish(
+            call,
+            error=BackendUnavailableError(
+                f"endpoint unavailable after {call.attempts} attempt{plural}: "
+                f"{call.last_error}",
+                last_status=call.last_status,
+            ),
         )
 
+    def _finish(self, call: _Call, result: Any = None, error: Optional[BaseException] = None) -> None:
+        with self._lock:
+            call.result, call.error, call.done = result, error, True
+            call.wire = b""
+            if self._waiting:
+                self._woken.notify_all()
+
+    def _post(self, body: dict[str, Any]) -> tuple[list[str], Optional[dict[str, Any]]]:
+        """Send a request body and wait: the completions and usage of the
+        reply."""
+        call = _Call(None, self._wire(body))
+        with self._lock:
+            self._queue.append(call)
+        self._kick()
+        return self._take(call)
+
     def generate(self, request: BackendRequest) -> BackendResponse:
-        completions, usage = self._post(request_to_body(request, self.model))
+        with self._lock:
+            call = self._pop_sent(request)
+        if call is None:
+            completions, usage = self._post(request_to_body(request, self.model))
+        else:
+            completions, usage = self._take(call)
         completions = completions[: request.n]
+        if len(completions) < request.n:
+            with self._lock:
+                warn, self._warned_short = not self._warned_short, True
+            if warn:
+                log.warning(
+                    "%s returned %d of %d completions; this backend tops up "
+                    "every shortfall one request at a time (logged once)",
+                    self._endpoint,
+                    len(completions),
+                    request.n,
+                )
         # Provider returned fewer than n choices: top up one at a time.
         while len(completions) < request.n:
             single = request_to_body(request, self.model)
@@ -764,7 +1265,7 @@ class HttpBackend(Backend):
             else:
                 missing = request.n - len(completions)
                 log.warning("padding %d missing completions with empty text", missing)
-                with self._pool_lock:
+                with self._lock:
                     self.padded += missing
                 completions.extend([""] * missing)
         return BackendResponse(completions=tuple(completions), usage=usage)

@@ -4,9 +4,9 @@ ResponseCache is a content-addressed response cache: one append-only log
 per directory with one line per entry, indexed by offset in memory.
 cached_generate is the one-request case of cached_generate_many, one loop
 for every backend width: it reads, generates and puts each request in
-order, generating misses on the caller's thread at width 1 and through the
-backend's one pool otherwise, so that pool bounds requests across all
-threads.
+order. On a backend wider than 1 it first sends the batch's misses with
+``backend.send``, and each generate() takes the reply of its own; at width
+1 each miss is generated in its turn on the caller's thread.
 
 Calls holds what one episode passes to every request it makes: its
 backend, its cache and its transcript. The search code reaches the draw
@@ -21,7 +21,6 @@ import logging
 import os
 import threading
 import weakref
-from concurrent.futures import Future
 from pathlib import Path
 from typing import Any, Iterator, Optional, Sequence
 
@@ -330,15 +329,6 @@ def cached_generate(
     return next(cached_generate_many(cache, backend, [request], transcript))
 
 
-def _generate_buffered(
-    backend: Backend, request: BackendRequest
-) -> tuple[BackendResponse, list[dict[str, Any]]]:
-    """generate() on a pool thread: the response and the events it emitted,
-    for the consumer to replay in the draw's turn."""
-    buffer = Transcript()
-    return generate(backend, request, buffer), buffer.events
-
-
 _TWIN = object()  # a draw whose cache key an earlier miss of its batch carries
 
 
@@ -355,26 +345,24 @@ def cached_generate_many(
     except for a twin, a draw whose cache key an earlier miss of the batch
     carries: a twin is looked up in its turn, after that miss was put, so
     it is the hit it would be in a one-at-a-time loop, or, if the put was
-    not written, a miss generated and put in its turn. On a backend of
-    ``max_in_flight`` 1 each miss is generated in its turn on the caller's
-    thread, so a stream that fails or is closed makes no further call. On a
-    wider backend the first ``next()`` submits every other miss at once to
-    ``backend.executor()``, the pool that bounds its requests in flight,
-    and a twin that must be generated goes through it too. Response i is
-    yielded after it is put and its transcript events are replayed, so the
-    transcript, the cache and the backend calls end as at width 1, whatever
-    the width, while later draws are still in flight. Without an enabled
-    cache every draw is a miss. A failed draw raises its error in its turn,
-    after every draw before it has been yielded; when a draw fails or the
-    consumer closes the stream, the draws that have not started are
-    cancelled. A batch whose every draw hit yields the responses of its
-    lookups and does nothing else.
+    not written, a miss generated and put in its turn. A batch whose every
+    draw hit yields the responses of its lookups and does nothing else.
+    Otherwise, on a backend wider than 1, ``backend.send`` starts every
+    other miss at once; a backend 1 wide is sent nothing ahead, so a
+    stream that fails or is closed makes no further call. Then each draw
+    in its turn is its hit, or generate()'s response, which takes the
+    reply of a sent miss (or sends the draw and waits) and emits the call's
+    event, and which is then put. So the transcript, the cache and the
+    backend calls end as at width 1, whatever the width, while later draws
+    are still in flight. Without an enabled cache every draw is a miss. A
+    failed draw raises its error in its turn, after every draw before it
+    has been yielded; when a draw fails or the consumer closes the stream,
+    ``backend.cancel`` releases the sent draws not yet taken.
     """
     keys: list[str] = []
     if cache is not None and cache.enabled:
         keys = ResponseCache.batch_keys(backend.backend_id, requests)
-    # per draw: a hit, _TWIN, a Future of a pooled miss, or None for a
-    # miss generated in its turn
+    # per draw: a hit, _TWIN, or None for a miss
     ahead: list[Any] = [None] * len(requests)
     missed: set[str] = set()
     for i, key in enumerate(keys):
@@ -387,34 +375,25 @@ def cached_generate_many(
     if keys and not missed:  # every draw hit: no twin, nothing to generate
         yield from ahead
         return
-    pool = None
-    if backend.max_in_flight > 1 and requests:  # any miss
-        pool = backend.executor()
-        for i, found in enumerate(ahead):
-            if found is None:
-                ahead[i] = pool.submit(_generate_buffered, backend, requests[i])
+    sent: list[BackendRequest] = []
+    if backend.max_in_flight > 1:
+        sent = [request for request, found in zip(requests, ahead) if found is None]
+        if sent:
+            backend.send(sent)
     try:
         for i, request in enumerate(requests):
             response = ahead[i]
             if response is _TWIN:
                 response = _lookup(cache, keys[i], request)
-                if response is None and pool is not None:
-                    response = pool.submit(_generate_buffered, backend, request)
-            if response is None or isinstance(response, Future):
-                if response is None:
-                    response = generate(backend, request, transcript)
-                else:
-                    response, events = response.result()
-                    if transcript is not None:
-                        transcript.events.extend(events)
+            if response is None:
+                response = generate(backend, request, transcript)
                 if keys:
                     cache.put(keys[i], response)
             yield response
+        sent = []  # every draw was taken
     finally:
-        if pool is not None:
-            for found in ahead:
-                if isinstance(found, Future):
-                    found.cancel()
+        if sent:
+            backend.cancel(sent)
 
 
 class Calls:

@@ -380,7 +380,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             rows = report_rows(run_m_sweep(*run_args, m_values, **run_kwargs))
     finally:
         if backend is not None:
-            backend.close()  # its request pool and connections
+            backend.close()  # its connections
         if cache is not None:
             cache.close()  # the log's descriptor
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import gc
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from tout.backends import ScriptedBackend
+from tout.backends import Backend, BackendRequest, BackendResponse, ScriptedBackend
 from tout.calls import LOG_NAME
 from tout.model import SearchConfig, State, TaskSpec
 from tout.uncertainty import temperature_schedule
@@ -73,6 +75,62 @@ class EpisodeScript:
 
     def backend(self) -> ScriptedBackend:
         return ScriptedBackend(dict(self.script), default=self.default)
+
+
+class PooledBackend(Backend):
+    """A backend ``width`` requests wide that answers on a pool of its own,
+    as HttpBackend answers on its connections: ``send`` starts each
+    request's ``answer`` on the pool, ``generate`` takes it, or starts it
+    and waits, and ``cancel`` drops what was sent and not taken. At width
+    1 there is no pool, and ``generate`` answers on the caller's thread.
+    ``sends`` counts the send() calls.
+    """
+
+    def __init__(self, width: int = 4):
+        self.max_in_flight = width
+        self.sends = 0
+        self._pool = ThreadPoolExecutor(max_workers=width) if width > 1 else None
+        self._started: dict[int, list] = {}  # id(request) -> its futures
+        self._lock = threading.Lock()
+
+    def answer(self, request: BackendRequest) -> BackendResponse:
+        raise NotImplementedError
+
+    def send(self, requests):
+        if self._pool is None:
+            return
+        self.sends += 1
+        with self._lock:
+            for request in requests:
+                future = self._pool.submit(self.answer, request)
+                self._started.setdefault(id(request), []).append((request, future))
+
+    def _taken(self, request):
+        with self._lock:
+            started = self._started.get(id(request))
+            if not started:
+                return None
+            if len(started) == 1:
+                del self._started[id(request)]
+            return started.pop(0)[1]
+
+    def cancel(self, requests):
+        for request in requests:
+            future = self._taken(request)
+            if future is not None:
+                future.cancel()
+
+    def generate(self, request):
+        future = self._taken(request)
+        if future is None:
+            if self._pool is None:
+                return self.answer(request)
+            future = self._pool.submit(self.answer, request)
+        return future.result()
+
+    def close(self):
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
 
 
 def population_variance(samples: list[float]) -> float:

@@ -15,8 +15,11 @@ import hashlib
 import inspect
 import json
 import logging
+import math
 import os
+import re
 import select
+import selectors
 import shutil
 import socket
 import socketserver
@@ -26,8 +29,8 @@ import sysconfig
 import tempfile
 import threading
 import time
+import warnings
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from unittest import mock
@@ -37,7 +40,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tout
-from helpers import CacheLog, EpisodeScript, make_state
+from helpers import CacheLog, EpisodeScript, PooledBackend, make_state
 from tout.backends import (
     Backend,
     BackendRequest,
@@ -511,22 +514,25 @@ class TestHttpBackend:
         assert len(endpoint.calls) == 3  # initial + 2 retries
         assert err.value.last_status == 429
 
-    def test_retry_after_seconds_lengthen_the_backoff(self, endpoint, monkeypatch):
+    def test_retry_after_seconds_lengthen_the_backoff(self, endpoint, caplog):
         endpoint.reply(
-            _status(429, {"Retry-After": "3"}),
+            _status(429, {"Retry-After": "0.3"}),
             _status(429, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
             _status(429, {"Retry-After": "0"}),
             _status(500, {"Retry-After": "9"}),
             _choices("ok"),
         )
-        delays = []
-        monkeypatch.setattr("tout.backends.time.sleep", delays.append)
-        response = endpoint.client(backoff_s=0.5, max_retries=4).generate(
-            BackendRequest(prompt="p", temperature=0.5)
-        )
+        started = time.monotonic()
+        with caplog.at_level(logging.WARNING, logger="tout.backends"):
+            response = endpoint.client(backoff_s=0.05, max_retries=4).generate(
+                BackendRequest(prompt="p", temperature=0.5)
+            )
+        waited = time.monotonic() - started
         assert response.completions == ("ok",)
+        delays = [float(d) for d in re.findall(r" in ([0-9.]+)s ", caplog.text)]
         # max(backoff, Retry-After) after a 429; other forms and codes: backoff
-        assert delays == [3.0, 1.0, 2.0, 4.0]
+        assert delays == [0.3, 0.1, 0.2, 0.4]
+        assert waited >= 0.95  # each backoff is waited out
 
     def test_retry_after_beyond_the_retry_budget_fails_at_once(
         self, endpoint, monkeypatch
@@ -574,6 +580,18 @@ class TestHttpBackend:
         assert response.completions == ("d", "", "")
         assert [c["body"]["n"] for c in endpoint.calls[3:]] == [3, 1]
         assert backend.padded == 2
+
+    def test_first_short_reply_is_logged_once(self, endpoint, caplog):
+        endpoint.reply(*[_choices(text) for text in "abcdef"])
+        backend = endpoint.client()
+        request = BackendRequest(prompt="p", temperature=0.5, n=3)
+        with caplog.at_level(logging.WARNING, logger="tout.backends"):
+            assert backend.generate(request).completions == ("a", "b", "c")
+            assert backend.generate(request).completions == ("d", "e", "f")
+        (record,) = caplog.records  # the second short reply logs nothing
+        assert "1 of 3 completions" in record.getMessage()
+        assert "one request at a time" in record.getMessage()
+        assert backend.padded == 0
 
     def test_non_json_200_is_retried(self, endpoint):
         endpoint.reply(_status(200, body="<html>gateway busy</html>"), _choices("recovered"))
@@ -638,12 +656,15 @@ class TestHttpBackend:
         assert first == second == BackendResponse(completions=("hi",))
         assert len(endpoint.calls) == 1
 
-    def test_executor_is_shared_and_as_wide_as_max_in_flight(self, endpoint):
+    def test_open_connections_never_exceed_max_in_flight(self, endpoint):
+        endpoint.reply(*[_choices("x")] * 10)
         backend = endpoint.client(max_in_flight=3)
-        pool = backend.executor()
-        assert pool is backend.executor()
-        assert pool._max_workers == 3
         assert backend.max_in_flight == 3
+        draws = [BackendRequest(prompt="p", temperature=0.5, index=i) for i in range(10)]
+        assert len(list(cached_generate_many(None, backend, draws))) == 10
+        # three at once, each kept alive for the draws queued behind it
+        assert len(endpoint.sockets) == 3
+        assert len(backend._connections) == 3
         with pytest.raises(InvalidArgumentError):
             endpoint.client(max_in_flight=0)
 
@@ -677,11 +698,16 @@ class TestHttpBackend:
 
 
 class TestHttpTransport:
-    def test_calls_on_one_thread_share_a_connection(self, endpoint):
+    def test_sequential_calls_share_a_connection(self, endpoint):
         endpoint.reply(*[_choices("x")] * 5)
         backend = endpoint.client()
-        for _ in range(5):
-            backend.generate(BackendRequest(prompt="p", temperature=0.5))
+        request = BackendRequest(prompt="p", temperature=0.5)
+        for _ in range(3):
+            backend.generate(request)
+        # a connection is not a thread's: another thread's calls reuse it
+        other = threading.Thread(target=lambda: [backend.generate(request) for _ in range(2)])
+        other.start()
+        other.join(timeout=10)
         assert len(endpoint.calls) == 5
         assert len(endpoint.sockets) == 1
         assert len({c["peer"] for c in endpoint.calls}) == 1
@@ -714,13 +740,13 @@ class TestHttpTransport:
             max_retries=2, backoff_s=0.01,
         )
         attempts = []
-        exchange = backend._exchange
+        start = backend._start
 
         def counted(*args):
             attempts.append(args)
-            return exchange(*args)
+            return start(*args)
 
-        monkeypatch.setattr(backend, "_exchange", counted)
+        monkeypatch.setattr(backend, "_start", counted)
         try:
             with pytest.raises(BackendUnavailableError) as err:
                 backend.generate(BackendRequest(prompt="p", temperature=0.5))
@@ -744,20 +770,23 @@ class TestHttpTransport:
             monkeypatch.delenv(name, raising=False)
         wrapped = []
 
-        def wrap(context, sock, server_hostname=None):
+        def wrap(context, sock, server_hostname=None, **options):
             wrapped.append(server_hostname)
-            return sock
+            raise OSError("wrapped")
 
         monkeypatch.setattr(ssl.SSLContext, "wrap_socket", wrap)
+        # a listener that never answers: the connect completes in its backlog
         with socket.create_server(("127.0.0.1", 0)) as listener:
             port = listener.getsockname()[1]
-            for scheme, names in [("https", ["localhost"]), ("http", [])]:
-                backend = HttpBackend(base_url=f"{scheme}://localhost:{port}", model="m1")
+            for scheme, names, error in [
+                ("https", ["localhost"], "wrapped"),  # wrapped once connected
+                ("http", [], "TimeoutError"),  # sent plain, then no reply
+            ]:
+                backend = HttpBackend(base_url=f"{scheme}://localhost:{port}",
+                                      model="m1", max_retries=0, timeout_s=0.2)
                 try:
-                    conn = backend._connection()
-                    assert conn.sock is None  # made, not yet connected
-                    backend._open(conn)  # as the first request does
-                    assert isinstance(conn.sock, socket.socket)
+                    with pytest.raises(BackendUnavailableError, match=error):
+                        backend.generate(BackendRequest(prompt="p", temperature=0.5))
                     assert wrapped == names
                 finally:
                     backend.close()
@@ -820,6 +849,19 @@ class TestHttpTransport:
         backend = raw_server.client()
         request = BackendRequest(prompt="p", temperature=0.5)
         assert backend.generate(request).completions == ("split",)
+
+    def test_long_reply_is_read_whole_and_its_buffer_given_back(self, raw_server):
+        text = "x" * (200 * 1024)
+        reply = _sized(text)
+        raw_server.replies.append([reply[:70000], reply[70000:]])
+        raw_server.replies.append([_sized("next")])
+        backend = raw_server.client()
+        request = BackendRequest(prompt="p", temperature=0.5)
+        assert backend.generate(request).completions == (text,)
+        (conn,) = backend._connections
+        assert len(conn.buf) == 2 * 1024  # not kept at the long reply's size
+        assert backend.generate(request).completions == ("next",)
+        assert raw_server.connections == 1
 
     def test_head_with_bare_line_feeds(self, raw_server):
         # the body holds a blank CRLF line, after the head's end
@@ -887,18 +929,37 @@ class TestHttpTransport:
     def test_close_closes_every_connection_and_the_backend_still_works(
         self, endpoint
     ):
-        endpoint.reply(*[_choices("x")] * 3)
+        endpoint.reply(*[_choices("x")] * 4)
         backend = endpoint.client(max_in_flight=2)
         request = BackendRequest(prompt="p", temperature=0.5)
         backend.generate(request)
-        backend.executor().submit(backend.generate, request).result(timeout=5)
+        pair = [BackendRequest(prompt="p", temperature=0.5, index=i) for i in range(2)]
+        assert len(list(cached_generate_many(None, backend, pair))) == 2
         opened = list(backend._connections)
-        assert len(opened) == 2  # this thread's and a pool thread's
+        assert len(opened) == 2  # the kept-alive one and one more for the pair
         backend.close()
         assert all(conn.sock is None for conn in opened)
         assert not backend._connections
         assert backend.generate(request).completions == ("x",)
         assert len(endpoint.sockets) == 3
+
+    def test_dropped_backend_leaves_no_socket_open(self, endpoint):
+        endpoint.reply(_choices("x"))
+        gc.collect()
+        before = _open_descriptors()
+        backend = _in_a_cycle(HttpBackend(base_url=endpoint.url, model="m1"))
+        backend.generate(BackendRequest(prompt="p", temperature=0.5))
+        assert _open_descriptors() > before
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del backend  # without close(), left to the cycle collector
+            gc.collect()
+        assert [str(w.message) for w in caught] == []
+        # the server closes its end once it reads the client's close
+        deadline = time.monotonic() + 5
+        while _open_descriptors() != before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _open_descriptors() == before
 
     def test_proxy_from_the_environment(self, endpoint, connect_proxy, monkeypatch):
         port = connect_proxy.server_address[1]
@@ -913,6 +974,73 @@ class TestHttpTransport:
         monkeypatch.setenv("no_proxy", "127.0.0.1")
         assert endpoint.client().generate(request).completions == ("direct",)
         assert len(connect_proxy.tunnels) == 1
+
+
+def _in_a_cycle(backend):
+    """backend, its generate wrapped by a function that holds the backend,
+    as a wrapper that counts calls does: a cycle only the collector frees."""
+    inner = backend.generate
+    backend.generate = lambda request: inner(request)
+    return backend
+
+
+class _OneThreadEndpoint:
+    """A loopback chat-completions server run by one thread of its own over
+    a selector. It answers each request ``delay_s`` after it arrived, with
+    the prompt as the completion, and records the most requests it held
+    at once."""
+
+    def __init__(self, delay_s):
+        self.delay_s = delay_s
+        self.held = []  # (when to answer, socket, reply), in arrival order
+        self.peak = 0
+        self.listener = socket.create_server(("127.0.0.1", 0), backlog=128)
+        self.listener.setblocking(False)
+        self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}"
+        self.stopping = False
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        received = {}  # socket -> its bytes not yet parsed
+        with selectors.DefaultSelector() as selector:
+            selector.register(self.listener, selectors.EVENT_READ)
+            while not self.stopping:
+                wait = self.held[0][0] - time.monotonic() if self.held else 0.05
+                for key, _ in selector.select(min(max(wait, 0.0), 0.05)):
+                    if key.fileobj is self.listener:
+                        sock, _ = self.listener.accept()
+                        sock.setblocking(False)
+                        received[sock] = b""
+                        selector.register(sock, selectors.EVENT_READ)
+                        continue
+                    sock = key.fileobj
+                    data = sock.recv(65536)
+                    if not data:
+                        selector.unregister(sock)
+                        sock.close()
+                        del received[sock]
+                        continue
+                    head, _, rest = (received[sock] + data).partition(b"\r\n\r\n")
+                    length = int(re.search(rb"(?i)content-length: *(\d+)", head)[1])
+                    body, received[sock] = rest[:length], rest[length:]
+                    prompt = json.loads(body)["messages"][0]["content"]
+                    self.held.append((time.monotonic() + self.delay_s, sock, _sized(prompt)))
+                    self.peak = max(self.peak, len(self.held))
+                while self.held and self.held[0][0] <= time.monotonic():
+                    _, sock, reply = self.held.pop(0)
+                    try:
+                        sock.sendall(reply)
+                    except OSError:
+                        pass  # the client closed the connection
+        for sock in received:
+            sock.close()
+        self.listener.close()
+
+    def close(self):
+        self.stopping = True
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
 
 
 class _OracleHandler(BaseHTTPRequestHandler):
@@ -957,12 +1085,15 @@ class _AnswerHandler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         status, headers, text = self.server.answer(body)
         data = text.encode("utf-8")
-        self.send_response(status)
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        try:
+            self.send_response(status)
+            for name, value in headers.items():
+                self.send_header(name, value)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+        except OSError:
+            self.close_connection = True  # the client gave up on the reply
 
     def log_message(self, *args):
         pass
@@ -1075,6 +1206,128 @@ class TestRequestPool:
                 assert seen["peak"] == 100
         assert runs["default"] == runs["one"]
         assert len(CacheLog(tmp_path / "one").entries()) == 100
+
+    def test_a_100_draw_batch_starts_no_thread(self, monkeypatch):
+        for name in _PROXY_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        server = _OneThreadEndpoint(delay_s=0.2)
+        backend = HttpBackend(base_url=server.url, model="m1")
+        draws = [BackendRequest(f"state {s}", round(0.2 + 0.04 * i, 2), index=i)
+                 for s in range(5) for i in range(20)]
+        threads = threading.active_count()
+        counts, responses = [], []
+        try:
+            for response in cached_generate_many(None, backend, draws):
+                counts.append(threading.active_count())
+                responses.append(response)
+        finally:
+            backend.close()
+            server.close()
+        assert [r.completions for r in responses] == [(d.prompt,) for d in draws]
+        assert set(counts) == {threads}
+        assert server.peak == 100  # every draw was on the wire at once
+
+    def test_threads_sharing_a_backend_each_get_their_own_replies(self, monkeypatch):
+        for name in _PROXY_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        server = _OneThreadEndpoint(delay_s=0.005)
+        backend = HttpBackend(base_url=server.url, model="m1", max_in_flight=4)
+        jobs, got, errors = 6, {}, []
+
+        def job(j):
+            prompts = []
+            try:
+                for b in range(5):
+                    draws = [BackendRequest(f"{j}.{b}.{i}", 0.5, index=i) for i in range(7)]
+                    prompts += [r.completions[0] for r in cached_generate_many(None, backend, draws)]
+                    single = BackendRequest(f"{j}.{b}", 0.5)
+                    prompts.append(backend.generate(single).completions[0])
+            except BaseException as exc:
+                errors.append(exc)
+            got[j] = prompts
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread interleavings
+        threads = [threading.Thread(target=job, args=(j,)) for j in range(jobs)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+            backend.close()
+            server.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for j in range(jobs):  # no reply lost, repeated or handed to another
+            expected = []
+            for b in range(5):
+                expected += [f"{j}.{b}.{i}" for i in range(7)] + [f"{j}.{b}"]
+            assert got[j] == expected
+        assert 1 < server.peak <= 4
+
+    def test_closed_stream_leaves_no_connection_busy(self, answering_server):
+        gate = threading.Condition()
+        seen = {"second": 0, "peak": 0, "together": math.inf}
+
+        def answer(body):
+            prompt = body["messages"][0]["content"]
+            with gate:
+                if prompt == "second":
+                    seen["second"] += 1
+                    seen["peak"] = max(seen["peak"], seen["second"])
+                    if seen["peak"] == 4:
+                        seen["together"] = time.monotonic()
+                    gate.notify_all()
+                    gate.wait_for(lambda: seen["peak"] >= 4, timeout=1.0)
+                    seen["second"] -= 1
+                elif body["temperature"]:
+                    # the first batch's draws after its first are held
+                    # until the second batch is all in, or for 2 s
+                    gate.wait_for(lambda: seen["peak"] >= 4, timeout=2.0)
+            return _choices(prompt)
+
+        url = answering_server(answer)
+        backend = HttpBackend(base_url=url, model="m1", max_in_flight=4)
+        first = [BackendRequest("first", round(0.1 * i, 1), index=i) for i in range(8)]
+        second = [BackendRequest("second", round(0.1 * i, 1), index=i) for i in range(4)]
+        try:
+            stream = cached_generate_many(None, backend, first)
+            assert next(stream).completions == ("first",)
+            stream.close()
+            started = time.monotonic()
+            responses = list(cached_generate_many(None, backend, second))
+        finally:
+            backend.close()
+        assert [r.completions for r in responses] == [("second",)] * 4
+        # all four reached the server together, none waiting for a
+        # connection that still carried a draw of the closed stream
+        assert seen["together"] - started < 1.0
+
+    def test_failed_draws_back_off_together(self, answering_server):
+        tried = set()
+        lock = threading.Lock()
+
+        def answer(body):
+            with lock:
+                first = body["temperature"] not in tried
+                tried.add(body["temperature"])
+            return _status(500) if first else _choices("ok")
+
+        url = answering_server(answer)
+        backend = HttpBackend(base_url=url, model="m1", backoff_s=0.2)
+        draws = [BackendRequest("p", round(0.05 * i, 2), index=i) for i in range(20)]
+        started = time.monotonic()
+        try:
+            responses = list(cached_generate_many(None, backend, draws))
+        finally:
+            backend.close()
+        elapsed = time.monotonic() - started
+        assert [r.completions for r in responses] == [("ok",)] * 20
+        assert len(tried) == 20
+        # one 0.2 s backoff for all 20, where one after another takes 4 s
+        assert 0.2 <= elapsed < 1.0
 
     def test_pool_bounds_requests_across_jobs(self, monkeypatch):
         for name in _PROXY_VARIABLES:
@@ -1345,55 +1598,29 @@ class _CountingBackend(Backend):
         return BackendResponse(completions=("x",) * request.n)
 
 
-class _WideCountingBackend(_CountingBackend):
+class _WideCountingBackend(PooledBackend):
     """A counting backend that allows concurrent requests."""
 
-    max_in_flight = 4
+    backend_id = "counting"
 
     def __init__(self):
-        super().__init__()
-        self._lock = threading.Lock()
-        self._pool = ThreadPoolExecutor(max_workers=self.max_in_flight)
+        super().__init__(width=4)
+        self.calls = 0
 
-    def executor(self):
-        return self._pool
-
-    def close(self):
-        self._pool.shutdown(wait=True)
-
-    def generate(self, request):
+    def answer(self, request):
         with self._lock:
-            return super().generate(request)
+            self.calls += 1
+        return BackendResponse(completions=("x",) * request.n)
 
 
-class _PoolCountingBackend(_WideCountingBackend):
-    """A wide counting backend that counts the times its pool is taken."""
+class _WideScriptedBackend(PooledBackend):
+    """A scripted backend that allows concurrent requests."""
 
-    def __init__(self):
-        super().__init__()
-        self.pool_taken = 0
-
-    def executor(self):
-        self.pool_taken += 1
-        return super().executor()
-
-
-class _WideScriptedBackend(ScriptedBackend):
-    """A scripted backend as wide as HttpBackend's default pool."""
-
-    max_in_flight = 4
+    backend_id = ScriptedBackend.backend_id
 
     def __init__(self, script, default=""):
-        super().__init__(script, default)
-        self.pool_taken = 0
-        self._pool = ThreadPoolExecutor(max_workers=self.max_in_flight)
-
-    def executor(self):
-        self.pool_taken += 1
-        return self._pool
-
-    def close(self):
-        self._pool.shutdown(wait=True)
+        super().__init__(width=4)
+        self.answer = ScriptedBackend(script, default).generate
 
 
 def _game24_episode(config):
@@ -1672,7 +1899,7 @@ class TestResponseCache:
         finally:
             cold.close()
         assert cold.calls == 6
-        warm = _PoolCountingBackend()
+        warm = _WideCountingBackend()
         seen = []
         inner = cache.get
         cache.get = lambda key: seen.append(key) or inner(key)  # as the bench wraps it
@@ -1683,7 +1910,7 @@ class TestResponseCache:
             warm.close()
         assert served == filled
         assert warm.calls == 0
-        assert warm.pool_taken == 0  # a batch of hits alone is served as read
+        assert warm.sends == 0  # a batch of hits alone is served as read
         assert transcript.events == []
         assert seen == [ResponseCache.cache_key(warm.backend_id, request)
                         for request in draws]
@@ -1708,7 +1935,7 @@ class TestResponseCache:
             return served, events, seen
 
         sequential = _CountingBackend()
-        wide = _PoolCountingBackend()
+        wide = _WideCountingBackend()
         try:
             expected = run(sequential, tmp_path / "sequential")
             got = run(wide, tmp_path / "wide")
@@ -1716,7 +1943,7 @@ class TestResponseCache:
             wide.close()
         assert got == expected
         assert sequential.calls == wide.calls == 3
-        assert wide.pool_taken == 1
+        assert wide.sends == 1
         served, events, seen = got
         assert [r.completions for r in served] == [("cached",), ("x",)] * 3
         assert [event["event"] for event in events] == ["generate"] * 3
@@ -1750,7 +1977,7 @@ class TestResponseCache:
             assert Counter(issued) == {"propose": 3, "value": 18, "final": 1}
             issued.clear()
             seen.clear()
-            pool_taken = getattr(backend, "pool_taken", 0)
+            sends = getattr(backend, "sends", 0)
             assert records() == cold
         finally:
             if wide:
@@ -1758,7 +1985,7 @@ class TestResponseCache:
         assert issued == []
         assert seen == put  # one read per draw, in the cold run's order
         assert len(seen) == 22
-        assert getattr(backend, "pool_taken", 0) == pool_taken
+        assert getattr(backend, "sends", 0) == sends
 
     def test_failed_put_leaves_the_old_entry_whole(self, tmp_path, caplog):
         cache = ResponseCache(tmp_path)
@@ -2074,26 +2301,17 @@ class TestResponseLog:
         cache.close()
 
 
-class _KeyedBackend(Backend):
+class _KeyedBackend(PooledBackend):
     """Answers each request from its prompt, temperature and index alone, at
     any width, and logs every call with the thread that made it."""
 
     backend_id = "keyed"
 
     def __init__(self, width):
-        self.max_in_flight = width
+        super().__init__(width)
         self.calls = []
-        self._lock = threading.Lock()
-        self._pool = ThreadPoolExecutor(max_workers=width) if width > 1 else None
 
-    def executor(self):
-        return self._pool
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-
-    def generate(self, request):
+    def answer(self, request):
         call = (request.prompt, request.temperature, request.index)
         with self._lock:
             self.calls.append((call, threading.current_thread()))

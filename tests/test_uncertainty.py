@@ -39,7 +39,7 @@ from tout.tasks import Problem, make_task
 from tout.tasks.synthetic import GOOD, TRAP, SyntheticTreeTask, build_trap_benchmark
 from tout.uncertainty import evaluate_states, value_draws
 
-from helpers import CacheLog, EpisodeScript, make_state, population_variance
+from helpers import CacheLog, EpisodeScript, PooledBackend, make_state, population_variance
 
 EXACT = 1e-12
 
@@ -260,7 +260,7 @@ class TestEvaluateState:
         assert scored.uncertainty > 0.0
 
 
-class _KeyedSlowBackend(Backend):
+class _KeyedSlowBackend(PooledBackend):
     """Answers the synthetic line protocol from the request alone.
 
     Each call sleeps a random few milliseconds, so concurrent draws complete
@@ -274,30 +274,23 @@ class _KeyedSlowBackend(Backend):
     backend_id = "keyed-slow"
 
     def __init__(self, width, children, fail_temperature=None, gather=0):
-        self.max_in_flight = width
+        super().__init__(width)
         self.children = children
         self.fail_temperature = fail_temperature
         self.gather = gather
         self.calls = 0
         self.peak = 0
         self._in_flight = 0
-        self._lock = threading.Condition()
-        self._pool = ThreadPoolExecutor(max_workers=width)
+        self._held = threading.Condition()
 
-    def executor(self):
-        return self._pool
-
-    def close(self):
-        self._pool.shutdown(wait=True)
-
-    def generate(self, request):
+    def answer(self, request):
         kind, key = request.prompt.split(" ", 1)
-        with self._lock:
+        with self._held:
             self.calls += 1
             self._in_flight += 1
             self.peak = max(self.peak, self._in_flight)
-            self._lock.notify_all()
-            if kind != "PROPOSE" and not self._lock.wait_for(
+            self._held.notify_all()
+            if kind != "PROPOSE" and not self._held.wait_for(
                 lambda: self.peak >= self.gather, timeout=1.0
             ):
                 self.gather = 0  # never reached: stop holding calls
@@ -310,7 +303,7 @@ class _KeyedSlowBackend(Backend):
             digest = hashlib.sha256(f"{key}@{request.temperature}".encode()).digest()
             return BackendResponse((repr(digest[0] / 25.5),))
         finally:
-            with self._lock:
+            with self._held:
                 self._in_flight -= 1
 
 
